@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
@@ -17,7 +18,7 @@ use crate::batch::{BatchId, CompletedBatch};
 use crate::metrics::{AdmissionSnapshot, ClusterSnapshot, ShardSnapshot};
 use crate::router::{RoutingTable, SlotMove, DEFAULT_SLOTS};
 use crate::shard::{
-    panic_message, spawn_shard, ShardCommand, ShardEvent, ShardFinish, ShardHandle,
+    panic_message, spawn_shard, EventSink, ShardCommand, ShardEvent, ShardFinish, ShardHandle,
 };
 
 /// How long the cluster waits on a shard reply or completion event before
@@ -63,6 +64,34 @@ pub struct ServeConfig {
     /// Fault injection: kill one shard thread after it serves a fixed
     /// number of batches (the `DITTO_KILL_SHARD` test hook).
     pub fault: Option<ShardFault>,
+    /// Rung by every shard thread right after it streams a completion or
+    /// its death notice, so a front-end can block on its own doorbell
+    /// instead of polling [`Cluster::take_completed`]. `None` (the default)
+    /// keeps the shards silent.
+    pub event_hook: Option<EventHook>,
+}
+
+/// A callback shard threads run after each event they stream to their
+/// cluster (see [`ServeConfig::with_event_hook`]). It runs on the shard
+/// thread, so it must be quick and must never block on the cluster.
+#[derive(Clone)]
+pub struct EventHook(Arc<dyn Fn() + Send + Sync>);
+
+impl EventHook {
+    /// Wraps `ring`.
+    pub fn new(ring: impl Fn() + Send + Sync + 'static) -> Self {
+        EventHook(Arc::new(ring))
+    }
+
+    pub(crate) fn ring(&self) {
+        (self.0)();
+    }
+}
+
+impl std::fmt::Debug for EventHook {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("EventHook(..)")
+    }
 }
 
 /// Deterministic fault injection: panic `shard`'s thread after it has
@@ -110,6 +139,7 @@ impl ServeConfig {
             journal_capacity: 4096,
             state_handoff: true,
             fault: None,
+            event_hook: None,
         }
     }
 
@@ -204,6 +234,12 @@ impl ServeConfig {
     /// Installs a deterministic shard-kill fault.
     pub fn with_fault(mut self, fault: ShardFault) -> Self {
         self.fault = Some(fault);
+        self
+    }
+
+    /// Installs the hook every shard rings after streaming an event.
+    pub fn with_event_hook(mut self, hook: EventHook) -> Self {
+        self.event_hook = Some(hook);
         self
     }
 
@@ -349,6 +385,10 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Boots `config.shards` shard threads, each serving a clone of `app`.
     pub fn new(app: A, config: &ServeConfig) -> Self {
         let (event_tx, events) = std::sync::mpsc::channel();
+        let sink = EventSink {
+            tx: event_tx,
+            hook: config.event_hook.clone(),
+        };
         let handles = (0..config.shards)
             .map(|id| {
                 spawn_shard(
@@ -362,7 +402,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                         .fault
                         .filter(|f| f.shard == id)
                         .map(|f| f.after_batches),
-                    event_tx.clone(),
+                    sink.clone(),
                 )
             })
             .collect();

@@ -92,7 +92,8 @@ mod shard;
 pub use balancer::{BalancerConfig, ShardBalancer};
 pub use batch::{split_into_batches, BatchId, CompletedBatch};
 pub use cluster::{
-    Cluster, ClusterOutcome, HandoffReport, ServeConfig, ShardFailure, ShardFault, ShardStates,
+    Cluster, ClusterOutcome, EventHook, HandoffReport, ServeConfig, ShardFailure, ShardFault,
+    ShardStates,
 };
 pub use metrics::{
     AdmissionSnapshot, ClusterSnapshot, LatencyRecorder, LatencyStats, ShardSnapshot,

@@ -19,6 +19,7 @@ use ditto_core::{ArchConfig, DittoApp, ExecutionReport, PersistentPipeline};
 use ditto_obs::{MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal, SpanStage};
 
 use crate::batch::BatchId;
+use crate::cluster::EventHook;
 use crate::metrics::ShardSnapshot;
 use crate::queue::SharedQueue;
 
@@ -96,6 +97,25 @@ pub(crate) enum ShardEvent {
     Failed { shard: usize, message: String },
 }
 
+/// A shard's path to its cluster: the event channel plus the optional
+/// hook rung after every event, so the consumer need not poll.
+#[derive(Clone)]
+pub(crate) struct EventSink {
+    pub tx: Sender<ShardEvent>,
+    pub hook: Option<EventHook>,
+}
+
+impl EventSink {
+    /// Streams `ev`, then rings the hook. A send failure means the cluster
+    /// stopped listening (dropped); the shard keeps serving regardless.
+    fn send(&self, ev: ShardEvent) {
+        let _ = self.tx.send(ev);
+        if let Some(hook) = &self.hook {
+            hook.ring();
+        }
+    }
+}
+
 /// When a shard thread panics mid-serve, every cluster-side waiter would
 /// otherwise block on the events channel until teardown joins the thread
 /// (the cluster clones the event sender per shard, so one death never
@@ -112,7 +132,7 @@ fn run_with_failure_notice<A: DittoApp + 'static>(
     let outcome =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || worker.run(commands)));
     if let Err(payload) = outcome {
-        let _ = events.send(ShardEvent::Failed {
+        events.send(ShardEvent::Failed {
             shard,
             message: panic_message(payload.as_ref()).to_owned(),
         });
@@ -156,7 +176,7 @@ struct ShardWorker<A: DittoApp + 'static> {
     pipeline: PersistentPipeline<A>,
     queue: SharedQueue,
     pending: VecDeque<PendingBatch>,
-    events: Sender<ShardEvent>,
+    events: EventSink,
     cycles_per_poll: u64,
     /// Ingress tuples/cycle (drain-budget sizing at Finish).
     ingress_rate: f64,
@@ -181,7 +201,7 @@ pub(crate) fn spawn_shard<A: DittoApp + 'static>(
     cycles_per_poll: u64,
     journal_capacity: usize,
     kill_after: Option<u64>,
-    events: Sender<ShardEvent>,
+    events: EventSink,
 ) -> ShardHandle<A> {
     let (commands, command_rx) = std::sync::mpsc::channel();
     let queue = SharedQueue::new();
@@ -399,9 +419,7 @@ impl<A: DittoApp + 'static> ShardWorker<A> {
             self.batches_done += 1;
             self.journal
                 .record(b.id, SpanStage::Drain, done_cycle, self.id as u32, b.tuples);
-            // A send failure means the cluster stopped listening (dropped);
-            // the shard keeps serving the engine side regardless.
-            let _ = self.events.send(ShardEvent::Completed {
+            self.events.send(ShardEvent::Completed {
                 shard: self.id,
                 batch: b.id,
                 latency_cycles: done_cycle - b.enqueue_cycle,

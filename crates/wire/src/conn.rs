@@ -124,9 +124,9 @@ pub(crate) enum ConnPhase {
     Closing,
 }
 
-/// A `Submit` the admission controller deferred (or whose app lock was
-/// contended): retried by the reactor's timer wheel without blocking the
-/// event loop.
+/// A `Submit` the admission controller deferred (retried on a timer) or
+/// whose app lock was contended (retried when the lock's holder releases
+/// it and rings the reactor) — either way without blocking the event loop.
 #[derive(Debug)]
 pub(crate) struct ParkedSubmit {
     /// Target app id from the frame header.
@@ -137,8 +137,8 @@ pub(crate) struct ParkedSubmit {
     pub tuples: Vec<Tuple>,
     /// Admission attempts consumed so far (lock contention does not count).
     pub attempt: u32,
-    /// When to retry.
-    pub due: Instant,
+    /// When to retry; `None` while waiting for a contended lock's release.
+    pub due: Option<Instant>,
     /// When the frame was received, for latency accounting.
     pub received: Instant,
 }

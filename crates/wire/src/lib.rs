@@ -22,9 +22,10 @@
 //!   with per-connection framed state machines, bounded write buffers
 //!   that backpressure (and eventually evict) slow readers, request
 //!   pipelining (responses matched by sequence number), a connection
-//!   budget (`DITTO_MAX_CONNS`), a completion pump, and graceful
-//!   shutdown that drains in-flight batches and flushes their responses
-//!   before joining shard threads.
+//!   budget (`DITTO_MAX_CONNS`), an event-driven completion pump (shard
+//!   completions and queued service requests ring its doorbell), and
+//!   graceful shutdown that drains in-flight batches and flushes their
+//!   responses before joining shard threads.
 //! * [`AdmissionController`] — reads the cluster's live aggregated
 //!   `queue_depth` before every admission; past the configured
 //!   high-watermark it defers briefly, then sheds with an explicit

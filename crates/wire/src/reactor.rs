@@ -8,7 +8,9 @@
 //!   into a connection's outbox ([`ConnShared::push_frame`]) and mark its
 //!   token dirty — the reactor flushes on its next turn;
 //! - the **acceptor** (reactor 0, which owns the listener) injects freshly
-//!   accepted sockets into peer reactors round-robin.
+//!   accepted sockets into peer reactors round-robin;
+//! - whichever thread releases an app lock that one of this reactor's
+//!   submits lost a `try_lock` race on rings it to retry that submit.
 //!
 //! The doorbell is a `UnixStream` pair: one byte written on the first
 //! signal after a quiet period makes the poller's `wait` return, and the
@@ -17,17 +19,18 @@
 //! one per response.
 //!
 //! Nothing in the loop blocks: sockets are non-blocking, admission uses
-//! `try_lock` and *parks* a submit (timer retry) when the app lock is
-//! contended or the queue is over watermark, and lock-holding service
-//! requests (`Stats`/`Finalize`/`Metrics`) are executed by the pump thread
-//! off the event loop.
+//! `try_lock` and *parks* a submit when the app lock is contended (retried
+//! when the holder releases it) or the queue is over watermark (retried
+//! on the admission defer timer), and lock-holding service requests
+//! (`Stats`/`Finalize`/`Metrics`) are executed by the pump thread off the
+//! event loop.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use datagen::Tuple;
@@ -37,7 +40,9 @@ use crate::admission::AdmissionDecision;
 use crate::conn::{Conn, ConnPhase, ConnShared, OutBuf, ParkedSubmit};
 use crate::frame::{error_code, Frame, FrameError, Request, Response};
 use crate::poller::{new_poller, Backend, Event, Interest, Poller};
-use crate::server::{enqueue_service, ServerShared, ServiceKind, ServiceRequest, Waiter};
+use crate::server::{
+    enqueue_service, Contender, ServerShared, ServiceKind, ServiceRequest, Waiter,
+};
 
 /// Poller token of this reactor's doorbell read-half.
 const TOKEN_WAKER: usize = 0;
@@ -46,9 +51,6 @@ const TOKEN_LISTENER: usize = 1;
 /// First connection token; slab index = token − base.
 const TOKEN_BASE: usize = 2;
 
-/// Retry delay for a submit whose app lock was momentarily contended (not
-/// an admission defer — the attempt counter does not advance).
-const LOCK_RETRY: Duration = Duration::from_micros(100);
 /// Read chunk size per `read(2)`.
 const READ_CHUNK: usize = 16 * 1024;
 /// Fairness bound: chunks read from one connection per readiness event
@@ -66,6 +68,8 @@ pub(crate) struct ReactorNotify {
     dirty: Mutex<Vec<usize>>,
     /// Accepted sockets handed over by the acceptor.
     injected: Mutex<Vec<TcpStream>>,
+    /// An app lock a parked submit waits on was released.
+    lock_released: AtomicBool,
 }
 
 impl ReactorNotify {
@@ -76,6 +80,7 @@ impl ReactorNotify {
             signaled: AtomicBool::new(false),
             dirty: Mutex::new(Vec::new()),
             injected: Mutex::new(Vec::new()),
+            lock_released: AtomicBool::new(false),
         }
     }
 
@@ -92,6 +97,12 @@ impl ReactorNotify {
             .lock()
             .expect("inject list poisoned")
             .push(stream);
+        self.wake();
+    }
+
+    /// Tells the reactor an app lock its parked submits wait on is free.
+    pub fn ring_lock_released(&self) {
+        self.lock_released.store(true, Ordering::Release);
         self.wake();
     }
 
@@ -188,16 +199,18 @@ impl Reactor {
     }
 
     /// Earliest parked-submit retry deadline, if any — bounds the poll
-    /// timeout.
+    /// timeout. Submits parked on a contended lock have none: the lock's
+    /// release rings the doorbell.
     fn next_parked_due(&self) -> Option<Instant> {
         self.slots
             .iter()
             .flatten()
-            .filter_map(|c| c.parked.as_ref().map(|p| p.due))
+            .filter_map(|c| c.parked.as_ref().and_then(|p| p.due))
             .min()
     }
 
-    /// Drains the doorbell: wake bytes, injected sockets, dirty tokens.
+    /// Drains the doorbell: wake bytes, injected sockets, dirty tokens, and
+    /// lock releases (which make every lock-parked submit due now).
     fn on_wake(&mut self) {
         let mut buf = [0u8; 256];
         loop {
@@ -212,6 +225,14 @@ impl Reactor {
         // Clear before taking the lists: a signal raced in after the take
         // re-arms the byte, so it is seen next turn instead of lost.
         self.notify.signaled.store(false, Ordering::Release);
+        if self.notify.lock_released.swap(false, Ordering::AcqRel) {
+            let now = Instant::now();
+            for conn in self.slots.iter_mut().flatten() {
+                if let Some(p) = conn.parked.as_mut().filter(|p| p.due.is_none()) {
+                    p.due = Some(now);
+                }
+            }
+        }
         let injected = std::mem::take(&mut *self.notify.injected.lock().expect("inject list"));
         let dirty = std::mem::take(&mut *self.notify.dirty.lock().expect("dirty list"));
         for stream in injected {
@@ -355,7 +376,7 @@ impl Reactor {
         for idx in 0..self.slots.len() {
             let due = matches!(
                 &self.slots[idx],
-                Some(conn) if matches!(&conn.parked, Some(p) if p.due <= now)
+                Some(conn) if matches!(&conn.parked, Some(p) if p.due.is_some_and(|d| d <= now))
             );
             if !due {
                 continue;
@@ -676,8 +697,9 @@ fn request_service(shared: &ServerShared, conn: &mut Conn, frame: &Frame, kind: 
 }
 
 /// One non-blocking admission attempt for a submit. Returns `Some` if the
-/// submit stays parked (lock contention or admission defer) — the reactor
-/// retries it at `due` without blocking the loop.
+/// submit stays parked — on lock contention until the holder's release
+/// rings this reactor, on admission defer until `due` — so the loop never
+/// blocks.
 fn attempt_submit(
     shared: &ServerShared,
     conn: &Conn,
@@ -691,7 +713,7 @@ fn attempt_submit(
         refuse_shutting_down(conn, app, seq);
         return None;
     }
-    let Some(state) = shared.apps.get(&app) else {
+    let Some(slot) = shared.apps.get(&app) else {
         conn.shared.push_frame(
             &Response::Error {
                 code: error_code::UNKNOWN_APP,
@@ -701,20 +723,18 @@ fn attempt_submit(
         );
         return None;
     };
-    let mut st = match state.try_lock() {
-        Ok(st) => st,
-        Err(TryLockError::WouldBlock) => {
-            // Contended (pump dispatch, service executor): retry shortly.
-            return Some(ParkedSubmit {
-                app,
-                seq,
-                tuples,
-                attempt,
-                due: Instant::now() + LOCK_RETRY,
-                received,
-            });
-        }
-        Err(TryLockError::Poisoned(e)) => panic!("host state poisoned: {e}"),
+    let Some(mut st) = slot.try_lock_or_ring(Contender::Reactor(&conn.shared.notify)) else {
+        // Contended (pump dispatch, service executor): the holder rings
+        // this reactor on release. Not an admission defer — the attempt
+        // counter does not advance.
+        return Some(ParkedSubmit {
+            app,
+            seq,
+            tuples,
+            attempt,
+            due: None,
+            received,
+        });
     };
     // Re-check under the lock: shutdown fails all waiters while holding
     // it, so a submit that slips past the flag check above must not
@@ -755,6 +775,13 @@ fn attempt_submit(
                     received,
                 },
             );
+            // A batch can complete inside `submit` without any shard event
+            // to ring the pump (an empty batch, a part lost to a dying
+            // shard, a replica promotion): route those completions now.
+            let completed = st.host.take_completed();
+            if !completed.is_empty() {
+                st.dispatch(completed);
+            }
             None
         }
         AdmissionDecision::Defer => {
@@ -765,7 +792,7 @@ fn attempt_submit(
                 seq,
                 tuples,
                 attempt: attempt + 1,
-                due: Instant::now() + wait,
+                due: Some(Instant::now() + wait),
                 received,
             })
         }

@@ -10,6 +10,7 @@
 //! `dyn` indirection costs one virtual call per *batch*, not per tuple.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use datagen::Tuple;
 use ditto_apps::{DataPartitionApp, HhdApp, HistoApp, HllApp, PageRankApp};
@@ -17,11 +18,12 @@ use ditto_core::apps::CountPerKey;
 use ditto_core::DittoApp;
 use ditto_ha::HaCluster;
 use ditto_obs::{MetricsSnapshot, SpanEvent};
-use ditto_serve::{AdmissionSnapshot, BatchId, Cluster, CompletedBatch, ServeConfig};
+use ditto_serve::{AdmissionSnapshot, BatchId, Cluster, CompletedBatch, EventHook, ServeConfig};
 use sketches::{Fixed, HyperLogLog};
 
 use crate::admission::AdmissionConfig;
 use crate::frame::{put_u32, put_u64, ByteReader, FrameError, WireStats};
+use crate::server::{wake, PumpBell};
 
 /// Conventional app ids used by the examples, benches and tests. The
 /// protocol itself treats ids as opaque — any `u16` a registry maps is
@@ -201,9 +203,10 @@ impl WireApp for HhdApp {
 pub(crate) trait HostedCluster: Send {
     /// Admits a batch, returning its cluster batch id.
     fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId;
-    /// Background upkeep between frames: the server's pump calls this every
-    /// cycle so a host can run supervision (failure detection, promotion)
-    /// without blocking any client. The default does nothing.
+    /// Background upkeep between frames: the server's pump calls this on
+    /// every pass — at least once per `pump_interval` — so a host can run
+    /// supervision (failure detection, promotion) without blocking any
+    /// client. The default does nothing.
     fn maintain(&mut self) {}
     /// Live cluster-wide queue depth in tuples (non-blocking).
     fn queue_depth(&mut self) -> u64;
@@ -450,6 +453,9 @@ pub struct AppRegistry {
     /// Per-app auth tokens riding the frame header's former reserved bits;
     /// apps without an entry (or with token 0) accept any client.
     pub(crate) tokens: HashMap<u16, u16>,
+    /// The completion pump's doorbell, which every registered cluster's
+    /// shards ring after each event; the server takes it over at bind.
+    pub(crate) bell: Arc<PumpBell>,
 }
 
 impl AppRegistry {
@@ -458,13 +464,23 @@ impl AppRegistry {
         AppRegistry::default()
     }
 
+    /// The shard event hook every registered cluster gets: it rings the
+    /// pump, which then collects the completion at once.
+    fn completion_hook(&self) -> EventHook {
+        let bell = Arc::clone(&self.bell);
+        EventHook::new(move || bell.ring(wake::COMPLETION))
+    }
+
     /// Registers `app` under `id`, booting its cluster (shard threads
-    /// start serving immediately).
+    /// start serving immediately). The cluster's shards ring the server's
+    /// completion pump after every event (any `event_hook` in `config` is
+    /// replaced).
     ///
     /// # Panics
     ///
     /// Panics if `id` is already registered.
     pub fn register<A: WireApp>(&mut self, id: u16, app: A, config: ServeConfig) -> &mut Self {
+        let config = config.with_event_hook(self.completion_hook());
         let cluster = Cluster::new(app.clone(), &config);
         let host = Host {
             app,
@@ -497,6 +513,7 @@ impl AppRegistry {
     where
         A::State: Clone,
     {
+        let config = config.with_event_hook(self.completion_hook());
         let cluster = HaCluster::new(app.clone(), &config, replicas);
         let host = HaHost {
             app,

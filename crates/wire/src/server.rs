@@ -6,12 +6,15 @@
 //! for its connection counts — I/O threads scale with cores, not sockets:
 //!
 //! ```text
-//!            ┌─────────────────────────── WireServer ───────────────────────────┐
-//! client ──┐ │  reactor 0 (accept + events) ── admission ──► Cluster (app 1) ◄┐ │
-//! client ──┼TCP► reactor 1 (events)          ── admission ──► Cluster (app 2) ◄┤ │
-//!  ⋮ 10k   │ │      │ parse · park · shed             pump/service thread ────┘ │
-//! client ──┘ │      └── outboxes ◄─── Done/Stats/Output ──────┘                  │
-//!            └───────────────────────────────────────────────────────────────────┘
+//!            ┌───────────────────────────── WireServer ────────────────────────────┐
+//! client ──┐ │   reactor 0 (accept + events) ── admission ──► Cluster (app 1) ──┐  │
+//! client ──┼TCP► reactor 1 (events)          ── admission ──► Cluster (app 2) ──┤  │
+//!  ⋮ 10k   │ │       │ parse · park · shed                         shard events │  │
+//! client ──┘ │       │ Stats/Finalize/Metrics ──► pump doorbell ◄───────────────┘  │
+//!            │       │                              │ (timeout: HA upkeep)         │
+//!            │       │                              ▼                              │
+//!            │       └── outboxes ◄── Done/Stats/Output ── pump/service thread     │
+//!            └─────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! A small fixed pool of **reactor** threads multiplexes every connection
@@ -20,11 +23,23 @@
 //! events, responses accumulate in a bounded per-connection outbox, and a
 //! slow client backpressures (then is disconnected) without blocking the
 //! loop — so thousands of idle or slow connections cost file descriptors,
-//! not threads. Submits admit (or shed) inline under a `try_lock`;
-//! lock-holding requests (`Stats`/`Finalize`/`Metrics`) run on the pump
-//! thread. The **pump** polls every hosted cluster for completed batches
-//! (running HA `maintain` first) and routes `Done` frames to whichever
-//! connection submitted them — pipelining across connections for free.
+//! not threads. Submits admit (or shed) inline under a `try_lock`; a submit
+//! that loses the lock parks, and whichever thread releases the app lock
+//! rings the parked submit's reactor to retry it. Lock-holding requests
+//! (`Stats`/`Finalize`/`Metrics`) run on the pump thread.
+//!
+//! The **pump** blocks on one doorbell (`PumpBell`). Every serve shard
+//! rings it right after streaming a completion or death notice (the
+//! [`EventHook`](ditto_serve::EventHook) the registry installs), every
+//! queued service request rings it, and so does shutdown. Each wake-up
+//! runs the queued service requests, then collects every hosted cluster's
+//! completed batches (running HA `maintain` first) and routes `Done` frames
+//! to whichever connection submitted them — pipelining across connections
+//! for free. A pass that finds an app locked asks to be rung when the lock
+//! is released. The wait times out after
+//! [`pump_interval`](WireServerConfig::pump_interval), which only bounds
+//! how long an idle server goes between HA upkeep passes (failure
+//! detection and promotion).
 //!
 //! Shutdown is graceful by construction: stop admitting, drain every
 //! in-flight batch, flush the resulting `Done` responses from the
@@ -33,9 +48,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -57,7 +73,10 @@ use crate::registry::{AppRegistry, HostedCluster};
 pub struct WireServerConfig {
     /// Admission control (watermark, defer policy, connection budget).
     pub admission: AdmissionConfig,
-    /// How often the completion pump polls the hosted clusters.
+    /// Upper bound between upkeep passes: the longest the pump sleeps
+    /// without a doorbell ring before running HA `maintain` (failure
+    /// detection and promotion) on every hosted app. Completions and
+    /// service requests ring the doorbell, so they never wait on it.
     pub pump_interval: Duration,
     /// Capacity of each app's wire-level span journal (accept/admit/shed/
     /// reply events); `0` disables buffering, counters stay exact.
@@ -78,7 +97,7 @@ pub struct WireServerConfig {
 }
 
 impl WireServerConfig {
-    /// Defaults: permissive admission, 200 µs pump, 4096-event journals,
+    /// Defaults: permissive admission, 200 µs upkeep bound, 4096-event journals,
     /// environment-selected backend, auto-sized reactor pool, 4 MiB
     /// outbox soft cap, 10 s drain.
     pub fn new() -> Self {
@@ -157,6 +176,207 @@ fn resolve_io_threads(configured: usize) -> usize {
         })
 }
 
+/// Why the pump woke, as bit flags a [`PumpBell`] collects between passes.
+pub(crate) mod wake {
+    /// A shard streamed an event, or an app the last pass skipped as busy
+    /// was released.
+    pub const COMPLETION: u8 = 1;
+    /// A service request was queued.
+    pub const SERVICE: u8 = 2;
+    /// The server is shutting down.
+    pub const SHUTDOWN: u8 = 4;
+}
+
+/// `ditto_wire_pump_wakeups` causes, in counter-slot order: a ring with
+/// [`wake::COMPLETION`], one with [`wake::SERVICE`], and the
+/// `pump_interval` timeout.
+const WAKE_CAUSES: [&str; 3] = ["completion", "service", "upkeep"];
+
+/// The pump's doorbell: rings collapse into a set of cause bits until the
+/// pump takes them, and only the first ring after the pump parked pays for
+/// a wake-up — rings while it is busy only set bits.
+#[derive(Debug, Default)]
+pub(crate) struct PumpBell {
+    state: Mutex<BellState>,
+    cv: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct BellState {
+    /// Causes rung since the pump last took them.
+    rung: u8,
+    /// The pump is blocked in [`PumpBell::wait`].
+    parked: bool,
+}
+
+impl PumpBell {
+    /// Records `cause` and wakes the pump if it is parked. Tolerates a
+    /// poisoned lock (the state is valid at every step): it runs in
+    /// [`AppGuard`]'s `Drop`, which must not panic.
+    pub(crate) fn ring(&self, cause: u8) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let wake = st.parked && st.rung == 0;
+        st.rung |= cause;
+        drop(st);
+        if wake {
+            self.cv.notify_one();
+        }
+    }
+
+    /// Blocks until rung or `timeout` passes; returns (and clears) the
+    /// causes rung meanwhile — `0` means the wait timed out.
+    fn wait(&self, timeout: Duration) -> u8 {
+        let mut st = self.state.lock().expect("pump bell poisoned");
+        if st.rung == 0 {
+            st.parked = true;
+            st = self
+                .cv
+                .wait_timeout_while(st, timeout, |st| st.rung == 0)
+                .expect("pump bell poisoned")
+                .0;
+            st.parked = false;
+        }
+        std::mem::take(&mut st.rung)
+    }
+}
+
+/// Who lost a `try_lock` on an app and asked to be rung on its release.
+#[derive(Default)]
+struct Contenders {
+    /// Reactors holding a submit parked on this lock.
+    reactors: Vec<Arc<ReactorNotify>>,
+    /// The pump skipped this app in a pass.
+    pump: bool,
+}
+
+/// Which party a [`AppSlot::try_lock_or_ring`] rings on release.
+pub(crate) enum Contender<'a> {
+    /// A reactor with a parked submit.
+    Reactor(&'a Arc<ReactorNotify>),
+    /// The completion pump.
+    Pump,
+}
+
+/// One hosted app's lock. Releasing it (dropping the [`AppGuard`]) rings
+/// every party that lost a `try_lock` race meanwhile, so a contended
+/// submit or pump pass is retried as soon as the app is free instead of
+/// on a timer.
+pub(crate) struct AppSlot {
+    state: Mutex<HostState>,
+    contenders: Mutex<Contenders>,
+    bell: Arc<PumpBell>,
+    /// Submits that lost `try_lock` and parked until the release.
+    lock_retries: AtomicU64,
+}
+
+impl AppSlot {
+    fn new(state: HostState, bell: Arc<PumpBell>) -> Self {
+        AppSlot {
+            state: Mutex::new(state),
+            contenders: Mutex::new(Contenders::default()),
+            bell,
+            lock_retries: AtomicU64::new(0),
+        }
+    }
+
+    /// Blocks for the app lock.
+    pub(crate) fn lock(&self) -> AppGuard<'_> {
+        AppGuard {
+            guard: Some(self.state.lock().expect("host state poisoned")),
+            slot: self,
+        }
+    }
+
+    fn try_lock(&self) -> Option<AppGuard<'_>> {
+        match self.state.try_lock() {
+            Ok(guard) => Some(AppGuard {
+                guard: Some(guard),
+                slot: self,
+            }),
+            Err(TryLockError::WouldBlock) => None,
+            Err(TryLockError::Poisoned(e)) => panic!("host state poisoned: {e}"),
+        }
+    }
+
+    /// Takes the lock without blocking, or registers `who` to be rung when
+    /// the current holder releases it. The registration is re-checked by a
+    /// second `try_lock`: a holder that released in between either sees
+    /// the registration or has already freed the lock, so no ring is lost.
+    pub(crate) fn try_lock_or_ring(&self, who: Contender<'_>) -> Option<AppGuard<'_>> {
+        if let Some(guard) = self.try_lock() {
+            return Some(guard);
+        }
+        {
+            let mut c = self.contenders.lock().expect("contenders poisoned");
+            match who {
+                Contender::Reactor(notify) => {
+                    if !c.reactors.iter().any(|r| Arc::ptr_eq(r, notify)) {
+                        c.reactors.push(Arc::clone(notify));
+                    }
+                }
+                Contender::Pump => c.pump = true,
+            }
+        }
+        let guard = self.try_lock();
+        if guard.is_none() && matches!(who, Contender::Reactor(_)) {
+            self.lock_retries.fetch_add(1, Ordering::Relaxed);
+        }
+        guard
+    }
+
+    /// The app's observability snapshot, including its lock-retry count.
+    fn metrics(&self) -> MetricsSnapshot {
+        let retries = self.lock_retries.load(Ordering::Relaxed);
+        self.lock().metrics(retries)
+    }
+
+    /// Rings everyone who asked since the last release. Runs in
+    /// [`AppGuard`]'s `Drop`, so a poisoned list (valid at every step) is
+    /// recovered rather than panicked on.
+    fn ring_contenders(&self) {
+        let c = std::mem::take(
+            &mut *self
+                .contenders
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        );
+        for notify in &c.reactors {
+            notify.ring_lock_released();
+        }
+        if c.pump {
+            self.bell.ring(wake::COMPLETION);
+        }
+    }
+}
+
+/// A held app lock; dropping it rings the lock's contenders.
+pub(crate) struct AppGuard<'a> {
+    guard: Option<MutexGuard<'a, HostState>>,
+    slot: &'a AppSlot,
+}
+
+impl Deref for AppGuard<'_> {
+    type Target = HostState;
+
+    fn deref(&self) -> &HostState {
+        self.guard.as_ref().expect("guard held until drop")
+    }
+}
+
+impl DerefMut for AppGuard<'_> {
+    fn deref_mut(&mut self) -> &mut HostState {
+        self.guard.as_mut().expect("guard held until drop")
+    }
+}
+
+impl Drop for AppGuard<'_> {
+    fn drop(&mut self) {
+        // Release first: a rung contender must find the lock free.
+        drop(self.guard.take());
+        self.slot.ring_contenders();
+    }
+}
+
 /// A connection waiting on a batch completion.
 pub(crate) struct Waiter {
     /// The submitting connection's cross-thread half.
@@ -214,14 +434,16 @@ impl HostState {
     }
 
     /// This app's full observability snapshot: the hosted cluster's merged
-    /// registry plus the wire layer's own journal counters.
-    fn metrics(&mut self) -> MetricsSnapshot {
+    /// registry plus the wire layer's own counters.
+    fn metrics(&mut self, lock_retries: u64) -> MetricsSnapshot {
         let mut snap = self.host.metrics();
         let mut reg = MetricsRegistry::new();
         let recorded = reg.counter("ditto_wire_journal_events", "wire", "events");
         let evicted = reg.counter("ditto_wire_journal_evicted", "wire", "events");
+        let retries = reg.counter("ditto_wire_submit_lock_retries", "wire", "submits");
         reg.set_counter(recorded, self.journal.recorded());
         reg.set_counter(evicted, self.journal.evicted());
+        reg.set_counter(retries, lock_retries);
         snap.merge(&reg.snapshot());
         snap
     }
@@ -283,13 +505,17 @@ pub(crate) struct ServiceQueue {
     ops: VecDeque<ServiceRequest>,
 }
 
-/// Queues a service request unless the queue already closed for shutdown.
+/// Queues a service request and rings the pump, unless the queue already
+/// closed for shutdown.
 pub(crate) fn enqueue_service(shared: &ServerShared, req: ServiceRequest) -> bool {
-    let mut q = shared.service.lock().expect("service queue poisoned");
-    if q.closed {
-        return false;
+    {
+        let mut q = shared.service.lock().expect("service queue poisoned");
+        if q.closed {
+            return false;
+        }
+        q.ops.push_back(req);
     }
-    q.ops.push_back(req);
+    shared.bell.ring(wake::SERVICE);
     true
 }
 
@@ -313,7 +539,11 @@ fn execute_service(shared: &ServerShared, op: ServiceRequest) {
 
 /// State shared by the reactors, the pump, and the shutdown path.
 pub(crate) struct ServerShared {
-    pub(crate) apps: HashMap<u16, Mutex<HostState>>,
+    pub(crate) apps: HashMap<u16, AppSlot>,
+    /// The pump's doorbell (shared with every app's shard event hook).
+    pub(crate) bell: Arc<PumpBell>,
+    /// Pump wake-ups per cause, indexed like [`WAKE_CAUSES`].
+    pub(crate) pump_wakeups: [AtomicU64; 3],
     /// Per-app auth tokens (absent or 0 = open access).
     pub(crate) tokens: HashMap<u16, u16>,
     pub(crate) stopping: AtomicBool,
@@ -381,28 +611,29 @@ impl WireServer {
             apps,
             mut admissions,
             tokens,
+            bell,
         } = registry;
-        let apps: HashMap<u16, Mutex<HostState>> = apps
+        let apps: HashMap<u16, AppSlot> = apps
             .into_iter()
             .map(|(id, host)| {
                 let policy = admissions
                     .remove(&id)
                     .unwrap_or_else(|| config.admission.clone());
-                (
-                    id,
-                    Mutex::new(HostState {
-                        host,
-                        waiters: HashMap::new(),
-                        admission: AdmissionController::new(policy),
-                        journal: SpanJournal::new(config.trace_capacity),
-                    }),
-                )
+                let state = HostState {
+                    host,
+                    waiters: HashMap::new(),
+                    admission: AdmissionController::new(policy),
+                    journal: SpanJournal::new(config.trace_capacity),
+                };
+                (id, AppSlot::new(state, Arc::clone(&bell)))
             })
             .collect();
         let io_threads = resolve_io_threads(config.io_threads);
         let backend = config.backend;
         let shared = Arc::new(ServerShared {
             apps,
+            bell,
+            pump_wakeups: Default::default(),
             tokens,
             stopping: AtomicBool::new(false),
             draining: AtomicBool::new(false),
@@ -492,9 +723,8 @@ impl WireServer {
         ids.sort_unstable();
         let mut events = Vec::new();
         for id in ids {
-            let state = self.shared.apps.get(&id).expect("id from keys");
-            let mut st = state.lock().expect("host state poisoned");
-            events.extend(st.take_journal(id));
+            let slot = self.shared.apps.get(&id).expect("id from keys");
+            events.extend(slot.lock().take_journal(id));
         }
         events
     }
@@ -510,6 +740,7 @@ impl WireServer {
     /// propagated into the message).
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::SeqCst);
+        self.shared.bell.ring(wake::SHUTDOWN);
         if let Some(t) = self.pump_thread.take() {
             t.join().expect("pump thread panicked");
         }
@@ -527,8 +758,8 @@ impl WireServer {
         // Drain every app: new submissions are already refused (stopping
         // flag), so after drain there are no in-flight batches; the
         // resulting Done frames land in still-live outboxes.
-        for state in self.shared.apps.values() {
-            let mut st = state.lock().expect("host state poisoned");
+        for slot in self.shared.apps.values() {
+            let mut st = slot.lock();
             let completed = st.host.drain();
             st.dispatch(completed);
             st.fail_waiters(error_code::SHUTTING_DOWN, "server shutting down");
@@ -548,8 +779,8 @@ impl WireServer {
         let mut per_app: Vec<(u16, WireStats)> = shared
             .apps
             .into_iter()
-            .map(|(id, state)| {
-                let st = state.into_inner().expect("host state poisoned");
+            .map(|(id, slot)| {
+                let st = slot.state.into_inner().expect("host state poisoned");
                 let (_, stats) = st.host.shutdown();
                 (id, stats)
             })
@@ -565,16 +796,14 @@ impl WireServer {
 
 /// Serves a `Metrics` request: app id 0 merges every hosted app's registry
 /// (each stamped with its `app` label) plus the server-wide connection
-/// gauges; a concrete id dumps that app alone.
+/// and pump counters; a concrete id dumps that app alone.
 fn handle_metrics(shared: &ServerShared, app: u16, format: u8) -> Response {
     let snap = if app == 0 {
         let mut ids: Vec<u16> = shared.apps.keys().copied().collect();
         ids.sort_unstable();
         let mut merged = MetricsSnapshot::default();
         for id in ids {
-            let state = shared.apps.get(&id).expect("id from keys");
-            let mut st = state.lock().expect("host state poisoned");
-            let mut snap = st.metrics();
+            let mut snap = shared.apps.get(&id).expect("id from keys").metrics();
             snap.add_label("app", id);
             merged.merge(&snap);
         }
@@ -588,12 +817,17 @@ fn handle_metrics(shared: &ServerShared, app: u16, format: u8) -> Response {
         reg.set_counter(rejected, shared.connections_rejected.load(Ordering::SeqCst));
         reg.set_counter(slow, shared.slow_disconnects.load(Ordering::SeqCst));
         merged.merge(&reg.snapshot());
+        for (cause, count) in WAKE_CAUSES.iter().zip(&shared.pump_wakeups) {
+            let mut reg = MetricsRegistry::new().with_label("cause", cause);
+            let wakeups = reg.counter("ditto_wire_pump_wakeups", "wire", "wakeups");
+            reg.set_counter(wakeups, count.load(Ordering::Relaxed));
+            merged.merge(&reg.snapshot());
+        }
         merged
     } else {
         match shared.apps.get(&app) {
-            Some(state) => {
-                let mut st = state.lock().expect("host state poisoned");
-                let mut snap = st.metrics();
+            Some(slot) => {
+                let mut snap = slot.metrics();
                 snap.add_label("app", app);
                 snap
             }
@@ -619,7 +853,7 @@ fn with_app(
     f: impl FnOnce(&mut HostState) -> Response,
 ) -> Response {
     match shared.apps.get(&app) {
-        Some(state) => f(&mut state.lock().expect("host state poisoned")),
+        Some(slot) => f(&mut slot.lock()),
         None => Response::Error {
             code: error_code::UNKNOWN_APP,
             message: format!("no app registered under id {app}"),
@@ -627,8 +861,9 @@ fn with_app(
     }
 }
 
-/// Executes queued service requests, then polls every hosted cluster for
-/// completed batches and routes their `Done` responses.
+/// Executes queued service requests, then collects every hosted cluster's
+/// completed batches and routes their `Done` responses; then blocks on the
+/// doorbell until the next ring, or `interval` for HA upkeep.
 fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
     loop {
         // Service requests first: their connections' decode is paused
@@ -646,10 +881,10 @@ fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
         if shared.stopping.load(Ordering::SeqCst) {
             return;
         }
-        for state in shared.apps.values() {
+        for slot in shared.apps.values() {
             // Never block on a busy app (drain/finalize hold the lock for
-            // long stretches); completions keep until the next tick.
-            let Ok(mut st) = state.try_lock() else {
+            // long stretches); its release rings the doorbell instead.
+            let Some(mut st) = slot.try_lock_or_ring(Contender::Pump) else {
                 continue;
             };
             // Host upkeep first (an HA host runs failure detection and
@@ -661,7 +896,17 @@ fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
                 st.dispatch(completed);
             }
         }
-        std::thread::sleep(interval);
+        let causes = shared.bell.wait(interval);
+        let counted = [
+            causes & wake::COMPLETION != 0,
+            causes & wake::SERVICE != 0,
+            causes == 0,
+        ];
+        for (count, hit) in shared.pump_wakeups.iter().zip(counted) {
+            if hit {
+                count.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 }
 

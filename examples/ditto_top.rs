@@ -14,7 +14,9 @@
 //!    interval — one round-trip returns the merged cross-layer snapshot —
 //!    and render a top-like table: per-shard qps (from successive
 //!    `ditto_serve_tuples_total` deltas), live queue depth, and the
-//!    cluster's bucketed batch-latency quantiles (p50/p99/p999).
+//!    cluster's bucketed batch-latency quantiles (p50/p99/p999), plus the
+//!    wire layer's completion-pump wake-ups by cause and the submits that
+//!    found their app locked and were retried on its release.
 //! 4. After the load drains, print the Prometheus text exposition of the
 //!    same registry — what a real scraper would ingest.
 
@@ -60,6 +62,11 @@ fn gauge(snap: &MetricsSnapshot, name: &str, app: u16, shard: usize) -> u64 {
 fn app_gauge(snap: &MetricsSnapshot, name: &str, app: u16) -> Option<u64> {
     snap.get(name, &[("app", &app.to_string())])
         .map(|e| e.value.scalar())
+}
+
+/// Total of `name` with exactly these labels (0 when absent).
+fn labelled(snap: &MetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    snap.get(name, labels).map_or(0, |e| e.value.scalar())
 }
 
 fn latency(snap: &MetricsSnapshot, app: u16) -> Option<LatencyStats> {
@@ -128,6 +135,28 @@ fn render(
             now.insert((app, shard), total);
         }
     }
+    // The wire plane: why the completion pump woke, and how many submits
+    // lost their app's lock and waited for its release.
+    let wakeups: Vec<String> = ["completion", "service", "upkeep"]
+        .iter()
+        .map(|cause| {
+            let n = labelled(snap, "ditto_wire_pump_wakeups", &[("cause", cause)]);
+            format!("{cause}={n}")
+        })
+        .collect();
+    let retries: Vec<String> = [app_id::HISTO, app_id::HLL]
+        .iter()
+        .map(|app| {
+            let label = app.to_string();
+            let n = labelled(snap, "ditto_wire_submit_lock_retries", &[("app", &label)]);
+            format!("app {app}={n}")
+        })
+        .collect();
+    println!(
+        "pump wakeups: {} · submit lock retries: {}",
+        wakeups.join(" "),
+        retries.join(" ")
+    );
     now
 }
 
