@@ -1,4 +1,5 @@
-//! Emits `BENCH_8.json`: the `ditto-ha` replication & recovery snapshot.
+//! Emits `BENCH_8.json`: the replication & recovery snapshot of a serve
+//! `Cluster` built with `ServeConfig::with_replicas`.
 //!
 //! Three experiment families, all on the HISTO app over a 3-shard cluster:
 //!
@@ -28,8 +29,7 @@ use datagen::{Tuple, ZipfGenerator};
 use ditto_apps::HistoApp;
 use ditto_bench::json::{host_info, Json};
 use ditto_core::{ArchConfig, SkewObliviousPipeline};
-use ditto_ha::{HaCluster, RecoverySource};
-use ditto_serve::{split_into_batches, BalancerConfig, ServeConfig};
+use ditto_serve::{split_into_batches, BalancerConfig, Cluster, RecoverySource, ServeConfig};
 
 const SHARDS: usize = 3;
 const BATCH_TUPLES: usize = 1_000;
@@ -62,7 +62,7 @@ fn recovery_point(replicas: usize, tuples: usize) -> Json {
     let data = ZipfGenerator::new(2.0, 1 << 16, 29).take_vec(tuples);
     let batches = split_into_batches(&data, BATCH_TUPLES);
     let half = batches.len() / 2;
-    let mut ha = HaCluster::new(app.clone(), &config, replicas);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(replicas));
     for batch in &batches[..half] {
         ha.submit(batch.clone());
     }
@@ -118,7 +118,7 @@ fn handoff_block() -> Json {
         min_window_tuples: 64,
         ..BalancerConfig::default()
     });
-    let mut ha = HaCluster::new(app.clone(), &config, 1);
+    let mut ha = Cluster::new(app.clone(), &config.with_replicas(1));
     let hot_keys: Vec<u64> = (0u64..)
         .filter(|&k| ha.router().shard_of_key(k) == 0)
         .take(32)
@@ -175,7 +175,7 @@ fn handoff_block() -> Json {
 }
 
 /// One replication-cost sweep point: `tuples` of Zipf(`alpha`) through a
-/// 3-shard `HaCluster` with `replicas` followers per shard, optionally
+/// 3-shard cluster with `replicas` followers per shard, optionally
 /// paced open-loop at `qps` tuples/sec.
 struct SweepPoint {
     row: Json,
@@ -186,7 +186,7 @@ fn sweep_point(replicas: usize, alpha: f64, qps: Option<f64>, tuples: usize) -> 
     let (app, config) = histo();
     let data = ZipfGenerator::new(alpha, 1 << 16, 17).take_vec(tuples);
     let batches = split_into_batches(&data, BATCH_TUPLES);
-    let mut ha = HaCluster::new(app, &config, replicas);
+    let mut ha = Cluster::new(app, &config.with_replicas(replicas));
     let start = Instant::now();
     for (i, batch) in batches.into_iter().enumerate() {
         if let Some(rate) = qps {

@@ -46,8 +46,9 @@ impl<V> Routed<V> {
 pub trait DittoApp: Send + Sync {
     /// Payload type routed from PrePEs to destination PEs.
     type Value: Clone + Default + Send + 'static;
-    /// Per-PE private buffer contents (the BRAM state).
-    type State: Send + 'static;
+    /// Per-PE private buffer contents (the BRAM state). `Clone` lets a
+    /// serving cluster copy an extracted slice onto a shard's replicas.
+    type State: Clone + Send + 'static;
     /// Final application output.
     type Output;
 

@@ -1,76 +1,51 @@
-//! # ditto-ha — replication and failure recovery for the serve cluster
+//! # ditto-ha — replicated serving is a setting of the serve cluster
 //!
-//! The paper's decomposability argument — per-PE partial states merge
-//! exactly into the global result — is usually read as a *throughput*
-//! property. This crate reads it as a *durability* property: if state
-//! merges exactly, it also extracts, transfers and replays exactly, so a
-//! serving cluster can survive the death of a shard without losing a
-//! tuple. Three mechanisms, all proven by bit-identical replay on the
-//! deterministic engines:
+//! Replication, state handoff and failure recovery live in `ditto-serve`:
+//! build a [`Cluster`] with [`ServeConfig::with_replicas`] and it logs and
+//! mirrors every delivered sub-batch to follower replicas, moves the
+//! followers' slices along with every handoff, and heals a dead shard by
+//! promotion inside `submit`, `drain`, `finish` and `heal`. Both handoff
+//! and promotion are the same extract → `merge`-install mechanism the
+//! paper uses to fold SecPE partial states into their PriPE.
 //!
-//! ```text
-//!                 submit(batch)
-//!                      │
-//!            ┌─────────▼──────────┐   per-shard sub-batches
-//!            │     HaCluster      ├──────────────┐
-//!            └─────────┬──────────┘              │ (clones of the
-//!               leader  │                        │  delivered parts)
-//!            ┌─────────▼──────────┐     ┌────────▼────────┐
-//!            │  Cluster (serve)   │     │ BatchLog[shard] │
-//!            │ shard 0  1  2  ... │     └────────┬────────┘
-//!            └─────────┬──────────┘     ┌────────▼────────┐
-//!                      │                │ followers[shard]│  N replicas,
-//!               ShardEvent::Failed      │ (1-shard serve  │  same parts,
-//!                      │                │  clusters)      │  same order
-//!            ┌─────────▼──────────┐     └────────┬────────┘
-//!            │      promote       │◄─────────────┘
-//!            │ drain follower →   │   extract replica slice →
-//!            │ install on heir →  │   reassign slots → resubmit
-//!            │ resume serving     │   raced sub-batches
-//!            └────────────────────┘
-//! ```
-//!
-//! * **State handoff** ([`HaCluster::rebalance`]): when the balancer
-//!   migrates hot slots, the source shard's accumulated slice moves with
-//!   them — extracted at the admission watermark, installed on the target
-//!   *and its followers* via the application's own `merge`. Because merge
-//!   is associative and commutative, which shard folds the history is
-//!   immaterial to the cluster-level result: the handoff run is
-//!   bit-identical to the no-migration run.
-//! * **N-way replication** ([`HaCluster::submit`]): every delivered
-//!   per-shard sub-batch is appended to that shard's [`BatchLog`] and
-//!   mirrored to its followers — independent 1-shard clusters fed the same
-//!   parts in the same order. Deterministic engines make a follower a
-//!   *proof-carrying* replica: replaying the leader's log from scratch
-//!   reproduces its state bit for bit ([`BatchLog::replay`]).
-//! * **Failure recovery** ([`HaCluster::heal`]): a dead shard thread (its
-//!   drop-guard streams the panic payload immediately) is recovered by
-//!   draining one follower, installing its slice on a live inheritor (and
-//!   the inheritor's followers), reassigning every slot the corpse owned,
-//!   resolving its in-flight batches (their tuples are in the replica) and
-//!   resubmitting sub-batches that raced the death without ever reaching
-//!   an engine. The cluster converges to the same final output as a run
-//!   with no failure at all.
-//!
-//! Environment knobs (announced by `ditto_obs::env::log_active`):
-//! `DITTO_REPLICAS` sets the follower count per shard; `DITTO_KILL_SHARD`
-//! (`<shard>:<batches>`) arms the deterministic fault injection hook in
-//! the serve layer.
+//! This crate keeps [`HaCluster`], a thin compatibility wrapper over a
+//! replicated [`Cluster`], and re-exports the replication types.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cluster;
-mod log;
+use datagen::Tuple;
+use ditto_core::DittoApp;
+use ditto_serve::{BatchId, Cluster, ClusterOutcome, CompletedBatch, ServeConfig};
+pub use ditto_serve::{BatchLog, Promotion, RecoverySource};
 
-pub use cluster::{HaCluster, Promotion, RecoverySource};
-pub use log::BatchLog;
+/// A serve [`Cluster`] built with [`ServeConfig::with_replicas`]; use the
+/// cluster directly for anything beyond these calls.
+pub struct HaCluster<A: DittoApp + Clone + 'static>(Cluster<A>);
 
-/// Reads the `DITTO_REPLICAS` environment knob: the number of follower
-/// replicas per shard. Returns `default` when unset or malformed.
-pub fn env_replicas(default: usize) -> usize {
-    std::env::var("DITTO_REPLICAS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+impl<A: DittoApp + Clone + 'static> HaCluster<A> {
+    /// Boots a cluster per `config` with `replicas` followers per shard.
+    pub fn new(app: A, config: &ServeConfig, replicas: usize) -> Self {
+        HaCluster(Cluster::new(app, &config.clone().with_replicas(replicas)))
+    }
+
+    /// See [`Cluster::submit`].
+    pub fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId {
+        self.0.submit(tuples)
+    }
+
+    /// See [`Cluster::take_completed`].
+    pub fn take_completed(&mut self) -> Vec<CompletedBatch> {
+        self.0.take_completed()
+    }
+
+    /// See [`Cluster::replication_lag`].
+    pub fn replication_lag(&mut self) -> Vec<u64> {
+        self.0.replication_lag()
+    }
+
+    /// See [`Cluster::finish`].
+    pub fn finish(self) -> ClusterOutcome<A::Output> {
+        self.0.finish()
+    }
 }

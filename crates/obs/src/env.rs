@@ -85,10 +85,10 @@ pub const KNOWN: &[EnvKnob] = &[
     },
     EnvKnob {
         name: "DITTO_REPLICAS",
-        consumer: "ditto-ha (replicated serving)",
+        consumer: "ditto-serve (`env_replicas`)",
         default: "per-call argument (examples default to 1)",
-        effect: "follower replicas per shard for `HaCluster`-hosted apps; `0` disables \
-                 replication and recovery falls back to batch-log replay",
+        effect: "follower replicas per shard for `ServeConfig::with_replicas`; `0` keeps only \
+                 the per-shard batch log, so recovery falls back to log replay",
     },
     EnvKnob {
         name: "DITTO_KILL_SHARD",

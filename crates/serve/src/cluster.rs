@@ -1,5 +1,8 @@
 //! The cluster front-end: admission, shard fan-out, completion tracking,
-//! balancing and the cross-shard merge/finalize path.
+//! balancing and state handoff, and the cross-shard merge/finalize path.
+//! Replication (followers, batch logs, promotion) lives in [`replication`].
+
+mod replication;
 
 use std::collections::HashMap;
 use std::sync::mpsc::Receiver;
@@ -20,6 +23,9 @@ use crate::router::{RoutingTable, SlotMove, DEFAULT_SLOTS};
 use crate::shard::{
     panic_message, spawn_shard, EventSink, ShardCommand, ShardEvent, ShardFinish, ShardHandle,
 };
+
+use replication::Replication;
+pub use replication::{Promotion, RecoverySource};
 
 /// How long the cluster waits on a shard reply or completion event before
 /// declaring the deployment wedged. Simulated work is fast; a hit here
@@ -57,10 +63,12 @@ pub struct ServeConfig {
     /// cluster-side); `0` disables trace buffering entirely while keeping
     /// the lifetime counters exact.
     pub journal_capacity: usize,
-    /// When `true` (the default), balancer migrations hand the source
-    /// shard's accumulated state slice to the target shard
-    /// ([`Cluster::handoff`]) instead of only redirecting future traffic.
-    pub state_handoff: bool,
+    /// Replication: `None` (the default) serves without replicas;
+    /// `Some(0)` keeps a per-shard [`BatchLog`](crate::BatchLog) and
+    /// recovers a dead shard by log replay; `Some(n)` also runs `n`
+    /// follower replicas per shard and recovers by promoting one (see
+    /// [`ServeConfig::with_replicas`]).
+    pub replicas: Option<usize>,
     /// Fault injection: kill one shard thread after it serves a fixed
     /// number of batches (the `DITTO_KILL_SHARD` test hook).
     pub fault: Option<ShardFault>,
@@ -119,6 +127,16 @@ impl ShardFault {
     }
 }
 
+/// Reads the `DITTO_REPLICAS` environment knob: the number of follower
+/// replicas per shard for [`ServeConfig::with_replicas`]. Returns
+/// `default` when unset or malformed.
+pub fn env_replicas(default: usize) -> usize {
+    std::env::var("DITTO_REPLICAS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
+}
+
 impl ServeConfig {
     /// A cluster of `shards` identical `arch` shards with routing defaults
     /// and the balancer disabled (fixed key ranges).
@@ -137,7 +155,7 @@ impl ServeConfig {
             ingress_rate: 8.0,
             balancer: None,
             journal_capacity: 4096,
-            state_handoff: true,
+            replicas: None,
             fault: None,
             event_hook: None,
         }
@@ -191,11 +209,14 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables state handoff on balancer migrations (on by
-    /// default; `ditto-ha` disables it to run its replicated handoff
-    /// protocol instead).
-    pub fn with_state_handoff(mut self, on: bool) -> Self {
-        self.state_handoff = on;
+    /// Replicates every shard: each delivered sub-batch is appended to the
+    /// shard's [`BatchLog`](crate::BatchLog) and mirrored to `replicas`
+    /// follower clusters, and the cluster heals a dead shard by promotion
+    /// inside [`submit`](Cluster::submit), [`drain`](Cluster::drain),
+    /// [`finish`](Cluster::finish) and [`heal`](Cluster::heal). With
+    /// `replicas == 0` only the log is kept and recovery replays it.
+    pub fn with_replicas(mut self, replicas: usize) -> Self {
+        self.replicas = Some(replicas);
         self
     }
 
@@ -262,8 +283,8 @@ struct PendingCluster {
 }
 
 /// A shard thread's death notice: which shard died and why (its panic
-/// payload). Returned by [`Cluster::failed_shards`]/[`Cluster::try_drain`]
-/// for a recovery layer to act on.
+/// payload). Returned by [`Cluster::try_drain`] when the cluster cannot
+/// heal the shard, and carried by every [`Promotion`] when it can.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardFailure {
     /// The dead shard.
@@ -371,7 +392,6 @@ pub struct Cluster<A: DittoApp + Clone + 'static> {
     /// racing the submit; a recovery layer takes and resubmits them.
     lost_parts: Vec<(BatchId, usize, Vec<Tuple>)>,
     tuples_lost: u64,
-    state_handoff: bool,
     handoffs: Vec<HandoffReport>,
     handoffs_total: u64,
     handoff_pause_us: LogHistogram,
@@ -379,6 +399,8 @@ pub struct Cluster<A: DittoApp + Clone + 'static> {
     /// (empty) states when a failed-over shard must still report.
     m_pri: u32,
     pe_entries: usize,
+    /// Followers, batch logs and promotions (`ServeConfig::replicas`).
+    replication: Option<Replication<A>>,
 }
 
 impl<A: DittoApp + Clone + 'static> Cluster<A> {
@@ -407,7 +429,6 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             })
             .collect();
         Cluster {
-            app,
             handles,
             router: RoutingTable::new(config.shards, config.slots),
             balancer: config
@@ -433,12 +454,13 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             dead: (0..config.shards).map(|_| None).collect(),
             lost_parts: Vec::new(),
             tuples_lost: 0,
-            state_handoff: config.state_handoff,
             handoffs: Vec::new(),
             handoffs_total: 0,
             handoff_pause_us: LogHistogram::new(),
             m_pri: config.arch.m_pri,
             pe_entries: config.arch.pe_entries,
+            replication: config.replicas.map(|n| Replication::new(&app, config, n)),
+            app,
         }
     }
 
@@ -461,27 +483,23 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// table and returns its id. Completion is observed via
     /// [`poll`](Self::poll)/[`drain`](Self::drain).
     ///
-    /// # Panics
-    ///
-    /// Panics if a shard thread has died (its own panic is reported on that
-    /// thread).
+    /// With replication configured, every delivered sub-batch is also
+    /// logged and mirrored to its shard's followers, and a shard death the
+    /// admission raced is healed before returning: the raced sub-batches
+    /// are resubmitted, so no tuple is lost or doubled.
     pub fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId {
-        self.dispatch(tuples, false).0
+        let id = self.dispatch(tuples);
+        if self.replication.is_some() && self.first_failure().is_some() {
+            self.heal();
+        }
+        id
     }
 
-    /// [`submit`](Self::submit), additionally returning a copy of each
-    /// *delivered* per-shard sub-batch (index = shard; empty where nothing
-    /// was routed or delivery failed) — the replication tap `ditto-ha`
-    /// duplicates admitted batches to followers from. Sub-batches whose
-    /// shard died racing the send are excluded here and surface through
-    /// [`take_lost_parts`](Self::take_lost_parts) instead, so a follower
-    /// never sees a tuple its leader did not accept.
-    pub fn submit_with_parts(&mut self, tuples: Vec<Tuple>) -> (BatchId, Vec<Vec<Tuple>>) {
-        let (id, parts) = self.dispatch(tuples, true);
-        (id, parts.expect("parts requested"))
-    }
-
-    fn dispatch(&mut self, tuples: Vec<Tuple>, keep: bool) -> (BatchId, Option<Vec<Vec<Tuple>>>) {
+    /// Splits, sends and (when replicated) mirrors one batch. Sub-batches
+    /// whose shard died racing the send are never mirrored — a follower
+    /// never sees a tuple its leader did not accept — and surface through
+    /// [`take_lost_parts`](Self::take_lost_parts) instead.
+    fn dispatch(&mut self, tuples: Vec<Tuple>) -> BatchId {
         let id = self.next_batch;
         self.next_batch += 1;
         self.batches_submitted += 1;
@@ -495,7 +513,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             .filter(|(_, p)| !p.is_empty())
             .map(|(shard, _)| shard)
             .collect();
-        let mut kept = keep.then(|| vec![Vec::new(); self.handles.len()]);
+        let mut delivered = Vec::new();
         if routed.is_empty() {
             // Served by nobody: complete the empty batch at once.
             self.record_completion(CompletedBatch {
@@ -505,7 +523,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 wall: Duration::ZERO,
             });
             self.poll();
-            return (id, kept);
+            return id;
         }
         // Register the batch before the first send: a fast shard can
         // complete its sub-batch while this loop is still blocked in
@@ -527,17 +545,13 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             if part.is_empty() {
                 continue;
             }
-            let copy = kept.is_some().then(|| part.clone());
+            let copy = self.replication.is_some().then(|| part.clone());
             match self.handles[shard].commands.send(ShardCommand::Submit {
                 batch: id,
                 tuples: part,
                 submitted: now,
             }) {
-                Ok(()) => {
-                    if let (Some(kept), Some(copy)) = (kept.as_mut(), copy) {
-                        kept[shard] = copy;
-                    }
-                }
+                Ok(()) => delivered.extend(copy.map(|c| (shard, c))),
                 Err(std::sync::mpsc::SendError(cmd)) => {
                     // The shard's command channel is gone: wait for its
                     // death notice (the drop-guard sends it while the
@@ -556,7 +570,12 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         }
         self.queue_depth_peak = self.queue_depth_peak.max(self.live_depth());
         self.poll();
-        (id, kept)
+        if let Some(r) = &mut self.replication {
+            for (shard, part) in delivered {
+                r.mirror(id, shard, part);
+            }
+        }
+        id
     }
 
     /// Releases `batch` from waiting on `shard` after its `lost`-tuple
@@ -658,30 +677,44 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         }
     }
 
-    /// Blocks until every admitted batch has completed.
+    /// Blocks until every admitted batch has completed, healing through any
+    /// shard death on the way when replication is configured.
     ///
     /// # Panics
     ///
     /// Panics immediately — with the dead shard's own panic message — if a
-    /// shard thread has died (recovery layers use
-    /// [`try_drain`](Self::try_drain) to intercept the failure instead),
-    /// or if no completion arrives within the shard-reply timeout.
+    /// shard thread of an unreplicated cluster has died (a front-end uses
+    /// [`try_drain`](Self::try_drain) to answer the failure instead), or
+    /// if no completion arrives within the shard-reply timeout.
     pub fn drain(&mut self) {
         if let Err(f) = self.try_drain() {
             panic!("{f}");
         }
     }
 
-    /// Blocks until every admitted batch has completed, or returns the
-    /// failure notice of a dead, unrecovered shard the moment one is
-    /// observed — the hook `ditto-ha` promotes replicas from. Call again
-    /// after recovery to keep draining.
+    /// [`drain`](Self::drain), returning the failure notice of a dead shard
+    /// the cluster cannot heal (no replication configured) the moment one
+    /// is observed instead of panicking.
     ///
     /// # Panics
     ///
     /// Panics if no event arrives within the shard-reply timeout while
     /// batches are outstanding and every shard is (apparently) alive.
     pub fn try_drain(&mut self) -> Result<(), ShardFailure> {
+        loop {
+            match self.await_pending() {
+                Err(failure) if self.replication.is_some() => {
+                    self.promote(&failure);
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Blocks until every admitted batch has completed, or returns the
+    /// failure notice of a dead, unrecovered shard the moment one is
+    /// observed. Call again after recovery to keep waiting.
+    fn await_pending(&mut self) -> Result<(), ShardFailure> {
         self.poll();
         loop {
             if let Some(f) = self.first_failure() {
@@ -726,8 +759,8 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     }
 
     /// Death notices of every dead, unrecovered shard (absorbing queued
-    /// events first). A recovery layer polls this before each admission.
-    pub fn failed_shards(&mut self) -> Vec<ShardFailure> {
+    /// events first).
+    fn failed_shards(&mut self) -> Vec<ShardFailure> {
         self.poll();
         self.dead
             .iter()
@@ -742,7 +775,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     }
 
     /// `true` once `shard`'s thread has died (recovered or not).
-    pub fn is_shard_dead(&self, shard: usize) -> bool {
+    fn is_shard_dead(&self, shard: usize) -> bool {
         self.dead[shard].is_some()
     }
 
@@ -814,10 +847,17 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
 
     /// Takes the completion records accumulated since the last call —
     /// load generators read these for per-batch latency traces. Absorbs
-    /// queued events first.
+    /// queued events first. A replicated cluster reports a batch whose
+    /// raced sub-batches were resubmitted during a promotion once, under
+    /// its own id and with every tuple it carried, after the last
+    /// resubmitted part completes.
     pub fn take_completed(&mut self) -> Vec<CompletedBatch> {
         self.poll();
-        std::mem::take(&mut self.completed)
+        let completed = std::mem::take(&mut self.completed);
+        match &mut self.replication {
+            Some(r) => r.merge_resubmits(completed),
+            None => completed,
+        }
     }
 
     fn shard_snapshots(&self) -> Vec<ShardSnapshot> {
@@ -894,7 +934,8 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// metrics, labelled `shard=<i>`) merged with the cluster-level
     /// admission counters and the bucketed batch-latency histograms.
     /// Synchronously round-trips to every live shard thread, like
-    /// [`snapshot`](Self::snapshot); dead shards contribute nothing.
+    /// [`snapshot`](Self::snapshot); dead shards contribute nothing. A
+    /// replicated cluster adds the `ditto_ha_*` replication series.
     pub fn metrics(&mut self) -> MetricsSnapshot {
         self.poll();
         let replies: Vec<_> = self
@@ -922,6 +963,9 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                     panic!("shard {shard} metrics timed out")
                 }
             }
+        }
+        if let Some(r) = &mut self.replication {
+            merged.merge(&r.metrics());
         }
         merged
     }
@@ -1015,12 +1059,10 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// recommended key-range migrations to the routing table. Returns the
     /// applied moves (empty when balanced or the balancer is disabled).
     ///
-    /// With [`ServeConfig::state_handoff`] on (the default), each round's
-    /// migrations also *hand off state*: the hot shard's accumulated slice
-    /// moves to the migration target via [`handoff`](Self::handoff), so a
-    /// subsequently retired source loses nothing. With it off, moves only
-    /// redirect future traffic (`ditto-ha` runs its own replicated handoff
-    /// protocol around this).
+    /// Each round's migrations also *hand off state*: the hot shard's
+    /// accumulated slice moves to the migration target via
+    /// [`handoff`](Self::handoff), so a subsequently retired source loses
+    /// nothing.
     pub fn rebalance(&mut self) -> Vec<SlotMove> {
         self.poll();
         if self.balancer.is_none() {
@@ -1038,17 +1080,11 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         if moves.is_empty() {
             return moves;
         }
-        if !self.state_handoff {
-            for mv in &moves {
-                self.router.apply(*mv);
-            }
-            return moves;
-        }
         // Group the round's moves by source shard (one balancer round moves
         // slots off a single hot shard, but stay general): extraction is
         // whole-slice, so one extract per source covers every move off it,
         // installed into the first move's target. A source that dies
-        // mid-handoff forfeits its group — the recovery layer owns it now.
+        // mid-handoff forfeits its group — promotion owns it now.
         let mut by_source: Vec<(usize, Vec<SlotMove>)> = Vec::new();
         for mv in moves {
             match by_source.iter_mut().find(|(s, _)| *s == mv.from) {
@@ -1106,11 +1142,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Folds an extracted slice into `shard`'s live PriPE states via the
     /// application's `merge`. The inverse of
     /// [`extract_shard`](Self::extract_shard).
-    pub fn install_shard(
-        &mut self,
-        shard: usize,
-        states: Vec<A::State>,
-    ) -> Result<(), ShardFailure> {
+    fn install_shard(&mut self, shard: usize, states: Vec<A::State>) -> Result<(), ShardFailure> {
         self.poll();
         if let Some(d) = &self.dead[shard] {
             return Err(ShardFailure {
@@ -1139,12 +1171,15 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// it on `to`, then apply the slot moves so future traffic follows the
     /// state. The pause (catch-up + extract + install, no admissions
     /// interleaved — the admitter is this same thread) is recorded in the
-    /// `ditto_ha_handoff_pause_us` histogram.
+    /// `ditto_ha_handoff_pause_us` histogram. A replicated cluster moves
+    /// the followers' slices the same way and keeps both logs truthful:
+    /// the source's resets (its state is fresh, which an empty log derives
+    /// exactly) and the target's is marked incomplete.
     ///
     /// On `Err` the routing moves are *not* applied and the extracted slice
     /// is not lost: extraction only succeeds atomically with the reply, so
-    /// a source that died still holds nothing and a target that died gets
-    /// recovered by the failure path like any other dead shard.
+    /// a source that died still holds nothing (its replicas still cover
+    /// it), and a slice whose target died goes back to the source.
     pub fn handoff(
         &mut self,
         from: usize,
@@ -1155,7 +1190,13 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         let extract = self.extract_shard(from)?;
         let tuples_moved = extract.tuples;
         let catch_up_cycles = extract.catch_up_cycles;
-        self.install_shard(to, extract.states)?;
+        if let Err(failure) = self.install_replicated(to, extract.states.clone()) {
+            let _ = self.install_shard(from, extract.states);
+            return Err(failure);
+        }
+        if let Some(r) = &mut self.replication {
+            r.discard(from);
+        }
         for mv in moves {
             self.router.apply(*mv);
         }
@@ -1169,6 +1210,22 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         };
         self.note_handoff(report.clone());
         Ok(report)
+    }
+
+    /// Installs a slice on `shard` and, when replicated, on its followers
+    /// too (marking its log incomplete: the state no longer derives from
+    /// it). The followers are only touched once the leader accepted it.
+    fn install_replicated(
+        &mut self,
+        shard: usize,
+        states: Vec<A::State>,
+    ) -> Result<(), ShardFailure> {
+        let copy = self.replication.is_some().then(|| states.clone());
+        self.install_shard(shard, states)?;
+        if let (Some(r), Some(copy)) = (&mut self.replication, copy) {
+            r.install(shard, copy);
+        }
+        Ok(())
     }
 
     fn note_handoff(&mut self, report: HandoffReport) {
@@ -1205,7 +1262,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// layer has already re-established its state from a replica, or
     /// accepts the loss). Returns the routing moves applied.
     ///
-    /// This is deliberately *mechanism only* — `ditto-ha` supplies the
+    /// This is *mechanism only*: [`promote`](Self::promote) supplies the
     /// policy (which replica to promote, replaying the batch log,
     /// resubmitting lost parts) around this call.
     ///
@@ -1256,13 +1313,20 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     /// Failure diagnosis joins the dead thread where possible, so the
     /// panic names the *shard's* failure (its payload), not just the
     /// broken channel it left behind.
-    fn collect_finishes(&mut self) -> Vec<Option<ShardFinish<A>>> {
+    fn collect_finishes(&mut self) -> Result<Vec<Option<ShardFinish<A>>>, ShardFailure> {
+        if self.replication.is_some() {
+            // Heal any death first, then discard the followers: their
+            // slices duplicate leader state and must not fold into the
+            // result.
+            self.drain();
+            self.replication = None;
+        }
         self.poll();
         // An unrecovered death is fatal here: finishing would silently drop
         // its accumulated slice. Recovered deaths are fine — their state
         // already lives in the inheritor (or the caller accepted the loss).
         if let Some(f) = self.first_failure() {
-            panic!("cannot finish: {f} (recover the shard or promote a replica first)");
+            return Err(f);
         }
         let mut handles: Vec<Option<ShardHandle<A>>> = self.handles.drain(..).map(Some).collect();
         // Fan the Finish command out first so all live shards drain
@@ -1289,14 +1353,18 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
                 finishes.push(None);
                 continue;
             }
+            // A channel gone racing the finish is a fresh, unrecovered death.
             let Some(rx) = rx else {
-                // Channel gone racing the finish: a fresh, unrecovered death.
-                let f = self.await_failure(shard);
-                panic!("cannot finish: {f}");
+                return Err(self.await_failure(shard));
             };
             match rx.recv_timeout(SHARD_REPLY_TIMEOUT) {
                 Ok(f) => finishes.push(Some(f)),
-                Err(_) => report_shard_death(shard, handles[shard].take().expect("handle present")),
+                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                    return Err(self.await_failure(shard))
+                }
+                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                    report_shard_death(shard, handles[shard].take().expect("handle present"))
+                }
             }
         }
         for (shard, handle) in handles.into_iter().enumerate() {
@@ -1320,7 +1388,7 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
             "{} batches unaccounted after finish",
             self.pending.len()
         );
-        finishes
+        Ok(finishes)
     }
 
     /// A stand-in report for a shard that died and was failed over: its
@@ -1374,9 +1442,21 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     ///
     /// # Panics
     ///
-    /// Panics if a shard thread died or its engine failed to drain.
-    pub fn finish(mut self) -> ClusterOutcome<A::Output> {
-        let finishes = self.collect_finishes();
+    /// Panics if a shard thread died and the cluster could not heal it,
+    /// or if a shard engine failed to drain.
+    pub fn finish(self) -> ClusterOutcome<A::Output> {
+        self.try_finish()
+            .unwrap_or_else(|f| panic!("cannot finish: {f}"))
+    }
+
+    /// [`finish`](Self::finish), returning the death notice of a shard the
+    /// cluster could not heal instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard engine failed to drain.
+    pub fn try_finish(mut self) -> Result<ClusterOutcome<A::Output>, ShardFailure> {
+        let finishes = self.collect_finishes()?;
         let mut reports = Vec::with_capacity(finishes.len());
         let mut acc: Option<Vec<A::State>> = None;
         for (shard, f) in finishes.into_iter().enumerate() {
@@ -1397,11 +1477,11 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
         let acc = acc.expect("at least one live shard");
         let output = self.app.finalize(acc);
         let snapshot = self.outcome_snapshot(&reports);
-        ClusterOutcome {
+        Ok(ClusterOutcome {
             output,
             reports,
             snapshot,
-        }
+        })
     }
 
     /// Shuts the cluster down with each shard finalizing *locally*,
@@ -1412,12 +1492,15 @@ impl<A: DittoApp + Clone + 'static> Cluster<A> {
     ///
     /// # Panics
     ///
-    /// Panics if a shard thread died or its engine failed to drain.
+    /// Panics if a shard thread died and the cluster could not heal it,
+    /// or if a shard engine failed to drain.
     pub fn finish_per_shard(mut self) -> (Vec<A::Output>, Vec<ExecutionReport>, ClusterSnapshot)
     where
         A: MergeableOutput,
     {
-        let finishes = self.collect_finishes();
+        let finishes = self
+            .collect_finishes()
+            .unwrap_or_else(|f| panic!("cannot finish: {f}"));
         let mut outputs = Vec::with_capacity(finishes.len());
         let mut reports = Vec::with_capacity(finishes.len());
         for (shard, f) in finishes.into_iter().enumerate() {
@@ -1706,7 +1789,7 @@ mod tests {
         // to die without absorbing its death notice, so the next dispatch
         // is the one that discovers the corpse mid-loop. (No state has
         // accumulated yet — a bare cluster accepts a corpse's state loss;
-        // restoring it is ditto-ha's job.)
+        // restoring it is replication's job.)
         cluster.handles[1]
             .commands
             .send(ShardCommand::Die {

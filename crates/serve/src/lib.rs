@@ -34,6 +34,15 @@
 //!   (via `ditto-framework`'s [`SkewAnalyzer`]), smoothed by the
 //!   [`StreamSkewPredictor`], migrating slots off hot shards. Intra-shard
 //!   single-key skew stays the job of each shard's own SecPEs.
+//! * **State handoff and replication**: [`Cluster::handoff`] (and the
+//!   balancer through it) moves a migration source's accumulated slice
+//!   *with* its slots. [`ServeConfig::with_replicas`] makes the same
+//!   cluster durable: every delivered sub-batch is appended to its shard's
+//!   [`BatchLog`] and mirrored to follower replicas, and a dead shard is
+//!   healed by promotion — a follower's slice (or the log's replay) is
+//!   installed on a live inheritor through `merge`, the corpse's slots are
+//!   re-homed and raced sub-batches resubmitted. Handoff and promotion are
+//!   the same extract → `merge`-install mechanism.
 //! * Cross-shard **merge/finalize**: [`Cluster::finish`] folds every
 //!   shard's PriPE buffers into shard 0's through the application's own
 //!   `merge` (a shard is just a coarser SecPE), then finalizes once —
@@ -84,6 +93,7 @@
 mod balancer;
 mod batch;
 mod cluster;
+mod log;
 mod metrics;
 mod queue;
 mod router;
@@ -92,9 +102,10 @@ mod shard;
 pub use balancer::{BalancerConfig, ShardBalancer};
 pub use batch::{split_into_batches, BatchId, CompletedBatch};
 pub use cluster::{
-    Cluster, ClusterOutcome, EventHook, HandoffReport, ServeConfig, ShardFailure, ShardFault,
-    ShardStates,
+    env_replicas, Cluster, ClusterOutcome, EventHook, HandoffReport, Promotion, RecoverySource,
+    ServeConfig, ShardFailure, ShardFault, ShardStates,
 };
+pub use log::BatchLog;
 pub use metrics::{
     AdmissionSnapshot, ClusterSnapshot, LatencyRecorder, LatencyStats, ShardSnapshot,
 };

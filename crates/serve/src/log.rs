@@ -4,7 +4,9 @@
 
 use datagen::Tuple;
 use ditto_core::DittoApp;
-use ditto_serve::{BatchId, Cluster, ServeConfig};
+
+use crate::batch::BatchId;
+use crate::cluster::{Cluster, ServeConfig};
 
 /// An ordered log of the sub-batches one leader shard accepted.
 ///
@@ -18,10 +20,10 @@ use ditto_serve::{BatchId, Cluster, ServeConfig};
 ///
 /// A log is *complete* while the leader's state is derivable from it
 /// alone. Installing externally extracted state on the leader (the target
-/// half of a handoff, or a promotion) breaks that derivation:
-/// [`mark_incomplete`](Self::mark_incomplete) records the fact and
-/// [`replay`](Self::replay) refuses rather than silently reconstructing a
-/// subset of the state.
+/// half of a handoff, or a promotion) breaks that derivation: the cluster
+/// marks the log incomplete ([`is_complete`](Self::is_complete) turns
+/// `false`) and [`replay`](Self::replay) refuses rather than silently
+/// reconstructing a subset of the state.
 #[derive(Debug, Clone, Default)]
 pub struct BatchLog {
     entries: Vec<(BatchId, Vec<Tuple>)>,
@@ -35,7 +37,7 @@ impl BatchLog {
     }
 
     /// Appends one delivered sub-batch.
-    pub fn append(&mut self, batch: BatchId, tuples: Vec<Tuple>) {
+    pub(crate) fn append(&mut self, batch: BatchId, tuples: Vec<Tuple>) {
         self.entries.push((batch, tuples));
     }
 
@@ -62,14 +64,14 @@ impl BatchLog {
     /// Records that state not derived from this log was installed on the
     /// leader (handoff target, promotion inheritor): replay no longer
     /// reconstructs the leader.
-    pub fn mark_incomplete(&mut self) {
+    pub(crate) fn mark_incomplete(&mut self) {
         self.incomplete = true;
     }
 
     /// Clears the log and restores completeness — matching a leader whose
     /// accumulated slice was just extracted away (its state is literally
     /// fresh, which an empty log derives exactly).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.entries.clear();
         self.incomplete = false;
     }
@@ -83,7 +85,7 @@ impl BatchLog {
     ///
     /// # Panics
     ///
-    /// Panics if the log was [marked incomplete](Self::mark_incomplete) —
+    /// Panics if the log is no longer [complete](Self::is_complete) —
     /// replaying it would reconstruct only part of the leader's state.
     pub fn replay<A: DittoApp + Clone + 'static>(
         &self,

@@ -2,7 +2,9 @@
 //! same application output as a single-engine `run_dataset` over the
 //! concatenated input, for all five paper applications (HISTO, DP, PR,
 //! HLL, HHD) under uniform and extreme (Zipf-3) skew — plus balancer
-//! behaviour under a forced hot shard.
+//! behaviour under a forced hot shard. Every served run is repeated with
+//! one follower replica per shard, whose output must be bit-identical
+//! (DP's partitions: equal as multisets, like any two served DP runs).
 
 use std::sync::Arc;
 
@@ -26,8 +28,24 @@ fn zipf3(seed: u64) -> Vec<Tuple> {
 }
 
 /// Serves `data` through a cluster in `BATCH`-tuple requests and returns
-/// the combined output.
-fn serve<A: DittoApp + Clone + 'static>(app: A, data: &[Tuple], config: &ServeConfig) -> A::Output {
+/// the combined output, after checking that the same run with one
+/// follower replica per shard returns a bit-identical output.
+fn serve<A>(app: A, data: &[Tuple], config: &ServeConfig) -> A::Output
+where
+    A: DittoApp + Clone + 'static,
+    A::Output: PartialEq + std::fmt::Debug,
+{
+    let plain = serve_once(app.clone(), data, config);
+    let replicated = serve_once(app, data, &config.clone().with_replicas(1));
+    assert_eq!(plain, replicated, "replication changed the output");
+    plain
+}
+
+fn serve_once<A: DittoApp + Clone + 'static>(
+    app: A,
+    data: &[Tuple],
+    config: &ServeConfig,
+) -> A::Output {
     let mut cluster = Cluster::new(app, config);
     for batch in split_into_batches(data, BATCH) {
         cluster.submit(batch);
@@ -59,16 +77,22 @@ fn dp_cluster_equals_single_engine_as_multisets() {
     let arch = ArchConfig::new(4, 8, 7).with_pe_entries(app.pe_entries());
     let config = ServeConfig::new(SHARDS, arch.clone());
     for data in [uniform(21), zipf3(22)] {
-        let mut sharded = serve(app.clone(), &data, &config);
+        let mut sharded = serve_once(app.clone(), &data, &config);
+        let mut replicated = serve_once(app.clone(), &data, &config.clone().with_replicas(1));
         let mut alone = single(app.clone(), &data, &arch);
         // DP is the non-decomposable app: each instance staged its share in
         // its own arrival order, so partition *contents* are compared as
         // multisets (the paper's "own memory space" semantics promise no
-        // intra-partition order).
-        for bucket in sharded.iter_mut().chain(alone.iter_mut()) {
+        // intra-partition order). The same holds between two served runs.
+        for bucket in sharded
+            .iter_mut()
+            .chain(replicated.iter_mut())
+            .chain(alone.iter_mut())
+        {
             bucket.sort_unstable();
         }
         assert_eq!(sharded, alone, "DP sharded run diverged");
+        assert_eq!(replicated, sharded, "replication changed the partitions");
     }
 }
 

@@ -15,8 +15,9 @@
 use datagen::{Tuple, ZipfGenerator};
 use ditto_apps::{HhdApp, HistoApp};
 use ditto_core::{ArchConfig, DittoApp, SkewObliviousPipeline};
-use ditto_ha::{HaCluster, RecoverySource};
-use ditto_serve::{split_into_batches, BalancerConfig, ServeConfig, ShardFault};
+use ditto_serve::{
+    split_into_batches, BalancerConfig, Cluster, RecoverySource, ServeConfig, ShardFault,
+};
 
 const TUPLES: usize = 8_000;
 const BATCH: usize = 1_000;
@@ -40,7 +41,7 @@ fn single<A: DittoApp + 'static>(app: A, data: &[Tuple], arch: &ArchConfig) -> A
 fn follower_slice_equals_batch_log_replay_bit_for_bit() {
     let (app, config) = histo_config();
     let data = zipf3(91);
-    let mut ha = HaCluster::new(app, &config, 2);
+    let mut ha = Cluster::new(app, &config.clone().with_replicas(2));
     for batch in split_into_batches(&data, BATCH) {
         ha.submit(batch);
     }
@@ -75,7 +76,7 @@ fn hhd_followers_mirror_their_leader() {
     let arch = ArchConfig::new(4, 8, 7).with_pe_entries(app.pe_entries());
     let config = ServeConfig::new(SHARDS, arch);
     let data = zipf3(92);
-    let mut ha = HaCluster::new(app, &config, 1);
+    let mut ha = Cluster::new(app, &config.clone().with_replicas(1));
     for batch in split_into_batches(&data, BATCH) {
         ha.submit(batch);
     }
@@ -93,7 +94,7 @@ fn hhd_followers_mirror_their_leader() {
 fn kill_and_promotion_from_replica_converges_to_single_engine() {
     let (app, config) = histo_config();
     let data = zipf3(93);
-    let mut ha = HaCluster::new(app.clone(), &config, 1);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(1));
     let batches = split_into_batches(&data, BATCH);
     let midpoint = batches.len() / 2;
     for (i, batch) in batches.into_iter().enumerate() {
@@ -123,7 +124,7 @@ fn kill_and_promotion_from_replica_converges_to_single_engine() {
 fn kill_with_zero_replicas_recovers_through_log_replay() {
     let (app, config) = histo_config();
     let data = zipf3(94);
-    let mut ha = HaCluster::new(app.clone(), &config, 0);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(0));
     let batches = split_into_batches(&data, BATCH);
     for (i, batch) in batches.into_iter().enumerate() {
         if i == 3 {
@@ -149,7 +150,7 @@ fn injected_fault_heals_transparently_inside_submit() {
         after_batches: 2,
     });
     let data = zipf3(95);
-    let mut ha = HaCluster::new(app.clone(), &config, 1);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(1));
     for batch in split_into_batches(&data, BATCH) {
         ha.submit(batch);
     }
@@ -175,7 +176,7 @@ fn source_crash_during_handoff_is_covered_by_its_replica() {
     // the promotion. Nothing is lost, nothing doubled.
     let (app, config) = histo_config();
     let data = zipf3(96);
-    let mut ha = HaCluster::new(app.clone(), &config, 1);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(1));
     let batches = split_into_batches(&data, BATCH);
     let midpoint = batches.len() / 2;
     for (i, batch) in batches.into_iter().enumerate() {
@@ -214,7 +215,7 @@ fn replicated_rebalance_moves_state_and_keeps_logs_honest() {
         min_window_tuples: 64,
         ..BalancerConfig::default()
     });
-    let mut ha = HaCluster::new(app.clone(), &config, 1);
+    let mut ha = Cluster::new(app.clone(), &config.clone().with_replicas(1));
     let hot_keys: Vec<u64> = (0u64..)
         .filter(|&k| ha.router().shard_of_key(k) == 0)
         .take(32)
@@ -266,7 +267,7 @@ fn replicated_rebalance_moves_state_and_keeps_logs_honest() {
 fn metrics_expose_the_ha_plane() {
     let (app, config) = histo_config();
     let data = zipf3(98);
-    let mut ha = HaCluster::new(app, &config, 2);
+    let mut ha = Cluster::new(app, &config.clone().with_replicas(2));
     for batch in split_into_batches(&data, BATCH) {
         ha.submit(batch);
     }

@@ -73,6 +73,11 @@ pub mod error_code {
     pub const TOO_MANY_CONNECTIONS: u16 = 4;
     /// The frame's auth token does not match the app's registered token.
     pub const BAD_TOKEN: u16 = 5;
+    /// A shard of the app died and the cluster could not heal it (no
+    /// replication configured): `Finalize` names the shard and its panic
+    /// message, batches it still owed are answered with this code, and the
+    /// app restarts on a fresh cluster.
+    pub const SHARD_FAILED: u16 = 6;
 }
 
 /// Frame discriminants. Requests use the low range, responses the high.

@@ -16,9 +16,8 @@ use datagen::Tuple;
 use ditto_apps::{DataPartitionApp, HhdApp, HistoApp, HllApp, PageRankApp};
 use ditto_core::apps::CountPerKey;
 use ditto_core::DittoApp;
-use ditto_ha::HaCluster;
 use ditto_obs::{MetricsSnapshot, SpanEvent};
-use ditto_serve::{AdmissionSnapshot, BatchId, Cluster, CompletedBatch, EventHook, ServeConfig};
+use ditto_serve::{BatchId, Cluster, CompletedBatch, EventHook, ServeConfig, ShardFailure};
 use sketches::{Fixed, HyperLogLog};
 
 use crate::admission::AdmissionConfig;
@@ -204,10 +203,9 @@ pub(crate) trait HostedCluster: Send {
     /// Admits a batch, returning its cluster batch id.
     fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId;
     /// Background upkeep between frames: the server's pump calls this on
-    /// every pass — at least once per `pump_interval` — so a host can run
-    /// supervision (failure detection, promotion) without blocking any
-    /// client. The default does nothing.
-    fn maintain(&mut self) {}
+    /// every pass — at least once per `pump_interval` — so a replicated
+    /// cluster heals a dead shard without blocking any client.
+    fn maintain(&mut self);
     /// Live cluster-wide queue depth in tuples (non-blocking).
     fn queue_depth(&mut self) -> u64;
     /// Records a shed batch of `tuples` tuples.
@@ -221,21 +219,21 @@ pub(crate) trait HostedCluster: Send {
     /// Drains every span journal (shards + cluster) into one flat list.
     fn take_journal(&mut self) -> Vec<SpanEvent>;
     /// Drains every in-flight batch, returning their completion records
-    /// without tearing anything down.
+    /// without tearing anything down. Batches a dead shard of an
+    /// unreplicated cluster still owes never complete; the caller fails
+    /// their waiters.
     fn drain(&mut self) -> Vec<CompletedBatch>;
     /// Drains, merges and finalizes the current cluster, replacing it with
-    /// a fresh one; returns the final completions and the encoded output.
-    fn finalize(&mut self) -> (Vec<CompletedBatch>, Vec<u8>);
+    /// a fresh one; returns the final completions and the encoded output,
+    /// or the death notice of a shard the cluster could not heal.
+    fn finalize(&mut self) -> (Vec<CompletedBatch>, Result<Vec<u8>, ShardFailure>);
     /// Terminal teardown: drains, then shuts the shard threads down.
-    /// Returns the final completions and statistics.
-    fn shutdown(self: Box<Self>) -> (Vec<CompletedBatch>, WireStats);
+    /// Returns the final statistics and any unhealed shard death.
+    fn shutdown(self: Box<Self>) -> (WireStats, Result<(), ShardFailure>);
 }
 
-fn wire_stats<A: DittoApp + Clone + 'static>(cluster: &mut Cluster<A>) -> WireStats {
-    wire_stats_from(cluster.admission_snapshot())
-}
-
-fn wire_stats_from(a: AdmissionSnapshot) -> WireStats {
+fn wire_stats<A: WireApp>(cluster: &mut Cluster<A>) -> WireStats {
+    let a = cluster.admission_snapshot();
     WireStats {
         batches_submitted: a.batches_submitted,
         batches_completed: a.batches_completed,
@@ -255,7 +253,8 @@ fn wire_stats_from(a: AdmissionSnapshot) -> WireStats {
 }
 
 /// The concrete host: an app instance, its serve configuration (kept so
-/// `finalize` can respawn a fresh cluster) and the live cluster. `prior`
+/// `finalize` can respawn a fresh cluster) and the live cluster, which may
+/// be replicated ([`ServeConfig::with_replicas`]). `prior`
 /// accumulates the counters of every finalized epoch, so lifetime
 /// statistics stay monotonic across `Finalize` round-trips (latency
 /// percentiles and queue depth are per-epoch and reset).
@@ -286,6 +285,10 @@ impl<A: WireApp> HostedCluster for Host<A> {
         self.cluster.submit(tuples)
     }
 
+    fn maintain(&mut self) {
+        self.cluster.heal();
+    }
+
     fn queue_depth(&mut self) -> u64 {
         self.cluster.queue_depth()
     }
@@ -311,118 +314,32 @@ impl<A: WireApp> HostedCluster for Host<A> {
     }
 
     fn drain(&mut self) -> Vec<CompletedBatch> {
-        self.cluster.drain();
+        let _ = self.cluster.try_drain();
         self.cluster.take_completed()
     }
 
-    fn finalize(&mut self) -> (Vec<CompletedBatch>, Vec<u8>) {
+    fn finalize(&mut self) -> (Vec<CompletedBatch>, Result<Vec<u8>, ShardFailure>) {
         let fresh = Cluster::new(self.app.clone(), &self.config);
         let mut old = std::mem::replace(&mut self.cluster, fresh);
-        old.drain();
+        let drained = old.try_drain();
         let completed = old.take_completed();
         self.prior = fold_stats(&self.prior, wire_stats(&mut old));
-        let outcome = old.finish();
-        let mut bytes = Vec::new();
-        self.app.encode_output(&outcome.output, &mut bytes);
-        (completed, bytes)
+        let output = drained.and_then(|()| old.try_finish()).map(|outcome| {
+            let mut bytes = Vec::new();
+            self.app.encode_output(&outcome.output, &mut bytes);
+            bytes
+        });
+        (completed, output)
     }
 
-    fn shutdown(self: Box<Self>) -> (Vec<CompletedBatch>, WireStats) {
+    fn shutdown(self: Box<Self>) -> (WireStats, Result<(), ShardFailure>) {
         let Host {
             mut cluster, prior, ..
         } = *self;
-        cluster.drain();
-        let completed = cluster.take_completed();
+        let drained = cluster.try_drain();
         let stats = fold_stats(&prior, wire_stats(&mut cluster));
-        let _ = cluster.finish();
-        (completed, stats)
-    }
-}
-
-/// A replicated host: the same surface as [`Host`], but the cluster is an
-/// [`HaCluster`] — every shard shadowed by follower replicas, with the
-/// pump-driven [`maintain`](HostedCluster::maintain) hook running failure
-/// detection and promotion between frames. A shard thread dying mid-run is
-/// invisible to connected clients beyond the recovery pause: in-flight
-/// batches resolve from the promoted replica and later frames route to the
-/// inheritor.
-struct HaHost<A: WireApp>
-where
-    A::State: Clone,
-{
-    app: A,
-    config: ServeConfig,
-    replicas: usize,
-    cluster: HaCluster<A>,
-    prior: WireStats,
-}
-
-impl<A: WireApp> HostedCluster for HaHost<A>
-where
-    A::State: Clone,
-{
-    fn submit(&mut self, tuples: Vec<Tuple>) -> BatchId {
-        self.cluster.submit(tuples)
-    }
-
-    fn maintain(&mut self) {
-        self.cluster.heal();
-    }
-
-    fn queue_depth(&mut self) -> u64 {
-        self.cluster.queue_depth()
-    }
-
-    fn record_shed(&mut self, tuples: u64) {
-        self.cluster.record_shed(tuples);
-    }
-
-    fn take_completed(&mut self) -> Vec<CompletedBatch> {
-        self.cluster.take_completed()
-    }
-
-    fn stats(&mut self) -> WireStats {
-        fold_stats(
-            &self.prior,
-            wire_stats_from(self.cluster.admission_snapshot()),
-        )
-    }
-
-    fn metrics(&mut self) -> MetricsSnapshot {
-        self.cluster.metrics()
-    }
-
-    fn take_journal(&mut self) -> Vec<SpanEvent> {
-        self.cluster.take_journal()
-    }
-
-    fn drain(&mut self) -> Vec<CompletedBatch> {
-        self.cluster.drain();
-        self.cluster.take_completed()
-    }
-
-    fn finalize(&mut self) -> (Vec<CompletedBatch>, Vec<u8>) {
-        let fresh = HaCluster::new(self.app.clone(), &self.config, self.replicas);
-        let mut old = std::mem::replace(&mut self.cluster, fresh);
-        old.drain();
-        let completed = old.take_completed();
-        self.prior = fold_stats(&self.prior, wire_stats_from(old.admission_snapshot()));
-        let outcome = old.finish();
-        let mut bytes = Vec::new();
-        self.app.encode_output(&outcome.output, &mut bytes);
-        (completed, bytes)
-    }
-
-    fn shutdown(self: Box<Self>) -> (Vec<CompletedBatch>, WireStats) {
-        let HaHost {
-            mut cluster, prior, ..
-        } = *self;
-        cluster.heal();
-        cluster.drain();
-        let completed = cluster.take_completed();
-        let stats = fold_stats(&prior, wire_stats_from(cluster.admission_snapshot()));
-        let _ = cluster.finish();
-        (completed, stats)
+        let finished = drained.and_then(|()| cluster.try_finish().map(drop));
+        (stats, finished)
     }
 }
 
@@ -474,7 +391,9 @@ impl AppRegistry {
     /// Registers `app` under `id`, booting its cluster (shard threads
     /// start serving immediately). The cluster's shards ring the server's
     /// completion pump after every event (any `event_hook` in `config` is
-    /// replaced).
+    /// replaced). A `config` with [`ServeConfig::with_replicas`] is served
+    /// with N-way replication: the pump heals a dying shard between
+    /// frames, and no client notices more than the recovery pause.
     ///
     /// # Panics
     ///
@@ -493,12 +412,7 @@ impl AppRegistry {
         self
     }
 
-    /// [`register`](Self::register) with N-way replication and automatic
-    /// failure recovery: the app is hosted on an
-    /// [`HaCluster`](ditto_ha::HaCluster) with `replicas` followers per
-    /// shard, and the server's pump runs its supervisor between frames —
-    /// a dying shard thread is promoted away without any client noticing
-    /// more than the recovery pause.
+    /// [`register`](Self::register) with `config.with_replicas(replicas)`.
     ///
     /// # Panics
     ///
@@ -509,22 +423,8 @@ impl AppRegistry {
         app: A,
         config: ServeConfig,
         replicas: usize,
-    ) -> &mut Self
-    where
-        A::State: Clone,
-    {
-        let config = config.with_event_hook(self.completion_hook());
-        let cluster = HaCluster::new(app.clone(), &config, replicas);
-        let host = HaHost {
-            app,
-            config,
-            replicas,
-            cluster,
-            prior: WireStats::default(),
-        };
-        let prev = self.apps.insert(id, Box::new(host));
-        assert!(prev.is_none(), "app id {id} registered twice");
-        self
+    ) -> &mut Self {
+        self.register(id, app, config.with_replicas(replicas))
     }
 
     /// [`register`](Self::register) with a per-app admission budget: this

@@ -59,7 +59,7 @@ use ditto_obs::{
     encode_snapshot, to_prometheus_text, MetricsRegistry, MetricsSnapshot, SpanEvent, SpanJournal,
     SpanStage, NO_SHARD,
 };
-use ditto_serve::{BatchId, CompletedBatch};
+use ditto_serve::{BatchId, CompletedBatch, ShardFailure};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::conn::ConnShared;
@@ -460,7 +460,8 @@ impl HostState {
         events
     }
 
-    /// Fails every waiter (shutdown path).
+    /// Fails every waiter (shutdown, or a finalize that found a dead
+    /// shard).
     fn fail_waiters(&mut self, code: u16, message: &str) {
         for (_, w) in self.waiters.drain() {
             let resp = Response::Error {
@@ -524,9 +525,21 @@ fn execute_service(shared: &ServerShared, op: ServiceRequest) {
     let reply = match op.kind {
         ServiceKind::Stats => with_app(shared, op.app, |st| Response::Stats(st.host.stats())),
         ServiceKind::Finalize => with_app(shared, op.app, |st| {
-            let (completed, bytes) = st.host.finalize();
+            let (completed, output) = st.host.finalize();
             st.dispatch(completed);
-            Response::Output { bytes }
+            match output {
+                Ok(bytes) => Response::Output { bytes },
+                Err(failure) => {
+                    // The batches the corpse owed never complete, and
+                    // their ids are reused by the fresh cluster.
+                    let message = failure.to_string();
+                    st.fail_waiters(error_code::SHARD_FAILED, &message);
+                    Response::Error {
+                        code: error_code::SHARD_FAILED,
+                        message,
+                    }
+                }
+            }
         }),
         ServiceKind::Metrics { format } => handle_metrics(shared, op.app, format),
     };
@@ -569,6 +582,9 @@ pub struct ShutdownReport {
     pub connections_rejected: u64,
     /// Final per-app statistics, sorted by app id.
     pub per_app: Vec<(u16, WireStats)>,
+    /// Apps whose cluster had a dead shard it could not heal at shutdown,
+    /// with the death notice, sorted by app id.
+    pub shard_failures: Vec<(u16, ShardFailure)>,
 }
 
 /// A running wire front-end over one or more serve clusters.
@@ -734,10 +750,13 @@ impl WireServer {
     /// close connections, join the reactors, then tear the shard threads
     /// down.
     ///
+    /// A dead shard an app's cluster could not heal is reported in
+    /// [`ShutdownReport::shard_failures`].
+    ///
     /// # Panics
     ///
-    /// Panics if a server or shard thread panicked (the payload is
-    /// propagated into the message).
+    /// Panics if a server thread panicked (the payload is propagated into
+    /// the message), or if a shard thread stopped answering without dying.
     pub fn shutdown(mut self) -> ShutdownReport {
         self.shared.stopping.store(true, Ordering::SeqCst);
         self.shared.bell.ring(wake::SHUTDOWN);
@@ -776,20 +795,23 @@ impl WireServer {
         // Only now tear down the shard threads.
         let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| panic!("wire server shared state still referenced after joins"));
-        let mut per_app: Vec<(u16, WireStats)> = shared
-            .apps
-            .into_iter()
-            .map(|(id, slot)| {
-                let st = slot.state.into_inner().expect("host state poisoned");
-                let (_, stats) = st.host.shutdown();
-                (id, stats)
-            })
-            .collect();
-        per_app.sort_unstable_by_key(|&(id, _)| id);
+        let mut per_app = Vec::new();
+        let mut shard_failures = Vec::new();
+        let mut apps: Vec<(u16, AppSlot)> = shared.apps.into_iter().collect();
+        apps.sort_unstable_by_key(|&(id, _)| id);
+        for (id, slot) in apps {
+            let st = slot.state.into_inner().expect("host state poisoned");
+            let (stats, drained) = st.host.shutdown();
+            per_app.push((id, stats));
+            if let Err(failure) = drained {
+                shard_failures.push((id, failure));
+            }
+        }
         ShutdownReport {
             connections_accepted: shared.connections_accepted.load(Ordering::SeqCst),
             connections_rejected: shared.connections_rejected.load(Ordering::SeqCst),
             per_app,
+            shard_failures,
         }
     }
 }
@@ -887,9 +909,9 @@ fn pump_loop(shared: &Arc<ServerShared>, interval: Duration) {
             let Some(mut st) = slot.try_lock_or_ring(Contender::Pump) else {
                 continue;
             };
-            // Host upkeep first (an HA host runs failure detection and
-            // replica promotion here), so a shard death surfaces as a
-            // promotion instead of stuck completions.
+            // Host upkeep first (a replicated cluster heals dead shards
+            // here), so a shard death surfaces as a promotion instead of
+            // stuck completions.
             st.host.maintain();
             let completed = st.host.take_completed();
             if !completed.is_empty() {

@@ -25,7 +25,7 @@ fn mid_run_shard_kill_is_invisible_to_wire_clients() {
         after_batches: 2,
     });
     let mut registry = AppRegistry::new();
-    registry.register_replicated(APP, app.clone(), config, 1);
+    registry.register(APP, app.clone(), config.with_replicas(1));
     let server =
         WireServer::bind("127.0.0.1:0", registry, WireServerConfig::new()).expect("bind loopback");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
@@ -89,7 +89,11 @@ fn replicated_registration_serves_identically_when_nothing_fails() {
     let app = HistoApp::new(256, 8);
     let arch = ArchConfig::new(4, 8, 3).with_pe_entries(app.pe_entries());
     let mut registry = AppRegistry::new();
-    registry.register_replicated(APP, app.clone(), ServeConfig::new(SHARDS, arch.clone()), 2);
+    registry.register(
+        APP,
+        app.clone(),
+        ServeConfig::new(SHARDS, arch.clone()).with_replicas(2),
+    );
     let server = WireServer::bind("127.0.0.1:0", registry, WireServerConfig::new()).expect("bind");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");
 

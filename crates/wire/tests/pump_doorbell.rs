@@ -156,7 +156,7 @@ fn idle_replicated_app_is_promoted_within_a_few_pump_intervals() {
         after_batches: 1,
     });
     let mut registry = AppRegistry::new();
-    registry.register_replicated(APP, app.clone(), serve, 1);
+    registry.register(APP, app.clone(), serve.with_replicas(1));
     let server =
         WireServer::bind("127.0.0.1:0", registry, config(Backend::auto(), INTERVAL)).expect("bind");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");

@@ -6,7 +6,7 @@
 //! ```
 //!
 //! 1. Boot a wire server hosting two apps (HISTO and HLL) on loopback —
-//!    HISTO replicated (`register_replicated`, `DITTO_REPLICAS` overrides
+//!    HISTO replicated (`ServeConfig::with_replicas`, `DITTO_REPLICAS` overrides
 //!    the follower count), HLL plain, so the table shows both shapes.
 //! 2. Spawn a background load generator that serves skewed batches over
 //!    its own connection.
@@ -165,11 +165,10 @@ fn main() {
     let histo = HistoApp::new(1_024, 8);
     let hll = HllApp::new(12, 8);
     let mut registry = AppRegistry::new();
-    registry.register_replicated(
+    registry.register(
         app_id::HISTO,
         histo.clone(),
-        serve_config(histo.pe_entries()),
-        ditto::ha::env_replicas(1),
+        serve_config(histo.pe_entries()).with_replicas(ditto::serve::env_replicas(1)),
     );
     registry.register(app_id::HLL, hll.clone(), serve_config(hll.pe_entries()));
     let server = WireServer::bind("127.0.0.1:0", registry, WireServerConfig::new())

@@ -10,12 +10,12 @@
 //! ```
 //!
 //! 1. Boot a wire server hosting one replicated HISTO cluster
-//!    (`AppRegistry::register_replicated`; `DITTO_REPLICAS` sets the
+//!    (`ServeConfig::with_replicas`; `DITTO_REPLICAS` sets the
 //!    follower count, default 1) with a deterministic fault armed:
 //!    `DITTO_KILL_SHARD=<shard>:<batches>` (default `1:2` when unset) —
 //!    the shard thread panics mid-run, exactly as a real crash would.
 //! 2. Serve skewed batches over loopback TCP. The server's completion
-//!    pump runs the HA supervisor between frames: it notices the death,
+//!    pump heals the cluster between frames: it notices the death,
 //!    drains a follower replica, promotes its slice onto a live shard,
 //!    re-routes the dead shard's slots and resubmits anything that raced
 //!    the crash. Clients never see more than the recovery pause.
@@ -40,19 +40,20 @@ fn main() {
         shard: 1,
         after_batches: 2,
     });
-    let replicas = ditto::ha::env_replicas(1);
+    let replicas = ditto::serve::env_replicas(1);
     let config = ServeConfig::new(
         SHARDS,
         ArchConfig::new(4, 8, 7).with_pe_entries(app.pe_entries()),
     )
-    .with_fault(fault);
+    .with_fault(fault)
+    .with_replicas(replicas);
     println!(
         "failover_serving: {SHARDS} shards, {replicas} replica(s)/shard, \
          killing shard {} after {} served batches",
         fault.shard, fault.after_batches
     );
     let mut registry = AppRegistry::new();
-    registry.register_replicated(app_id::HISTO, app.clone(), config, replicas);
+    registry.register(app_id::HISTO, app.clone(), config);
     let server = WireServer::bind("127.0.0.1:0", registry, WireServerConfig::new())
         .expect("bind wire server");
     let mut client = WireClient::connect(server.local_addr()).expect("connect");

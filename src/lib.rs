@@ -17,13 +17,14 @@
 //! * [`baselines`] (`ditto-baselines`) — the designs the paper compares
 //!   against;
 //! * [`serve`] (`ditto-serve`) — the sharded online serving layer:
-//!   persistent pipeline shards behind a skew-aware router;
+//!   persistent pipeline shards behind a skew-aware router, with state
+//!   handoff and optional N-way replication and failure recovery
+//!   (`ServeConfig::with_replicas`);
 //! * [`wire`] (`ditto-wire`) — the zero-dependency TCP front-end over the
 //!   serve cluster: binary frame protocol, admission control and load
 //!   shedding;
-//! * [`ha`] (`ditto-ha`) — replication and failure recovery for the serve
-//!   cluster: replicated state handoff, N-way follower replicas, batch-log
-//!   replay and shard promotion;
+//! * [`ha`] (`ditto-ha`) — `HaCluster`, a compatibility wrapper over a
+//!   replicated serve cluster;
 //! * [`obs`] (`ditto-obs`) — cross-layer observability: the metrics
 //!   registry, bucketed latency histograms, the batch-span tracing journal
 //!   and the Prometheus/binary exposition codecs;
@@ -94,15 +95,14 @@ pub mod prelude {
         select_implementation, Implementation, Platform, SkewAnalyzer, SystemGenerator,
     };
     pub use ditto_graph::{generate, pagerank, Csr};
-    pub use ditto_ha::{BatchLog, HaCluster, Promotion, RecoverySource};
     pub use ditto_obs::{
         chrome_trace_json, CountsTrace, LatencyStats, LogHistogram, MetricsRegistry,
         MetricsSnapshot, SpanEvent, SpanJournal, SpanStage,
     };
     pub use ditto_plan::{validate, DeploymentPlan, Planner, PlannerOptions, WorkloadModel};
     pub use ditto_serve::{
-        split_into_batches, AdmissionSnapshot, BalancerConfig, Cluster, ClusterSnapshot,
-        ServeConfig,
+        split_into_batches, AdmissionSnapshot, BalancerConfig, BatchLog, Cluster, ClusterSnapshot,
+        Promotion, RecoverySource, ServeConfig,
     };
     pub use ditto_wire::{
         AdmissionConfig, AppRegistry, WireApp, WireClient, WireServer, WireServerConfig,
